@@ -173,7 +173,7 @@ func benchParallelQuery(b *testing.B, ranks int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pquery.Run(world, query, provider); err != nil {
+		if _, err := pquery.Run(world, query, pquery.Input{Stream: provider}, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -451,7 +451,7 @@ func benchFanin(b *testing.B, fanin int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := pquery.RunFanin(world, query, provider, fanin)
+		res, err := pquery.Run(world, query, pquery.Input{Stream: provider}, fanin, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func TestCacheSmoke(t *testing.T) {
 			{"cold", func() (fmt.Stringer, error) { return QueryFilesOpt(q, files, Options{CacheDir: cacheDir}) }},
 			{"warm", func() (fmt.Stringer, error) { return QueryFilesOpt(q, files, Options{CacheDir: cacheDir}) }},
 			{"warm-sharded", func() (fmt.Stringer, error) {
-				return QueryFilesJobsOpt(q, files, 3, Options{CacheDir: cacheDir})
+				return QueryFilesOpt(q, files, Options{Jobs: 3, CacheDir: cacheDir})
 			}},
 		}
 		for _, r := range runs {
@@ -381,9 +381,9 @@ func TestCacheNoCacheOverride(t *testing.T) {
 // shows the cache plan node (and where the state lives).
 func TestCacheSmokeExplain(t *testing.T) {
 	cacheDir := t.TempDir()
-	out, err := ExplainFilesOpts(
+	out, err := Explain(
 		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel",
-		[]string{"a.cali", "b.cali"}, 0, 1, Options{CacheDir: cacheDir})
+		[]string{"a.cali", "b.cali"}, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +391,47 @@ func TestCacheSmokeExplain(t *testing.T) {
 		t.Errorf("EXPLAIN missing the cache node:\n%s", out)
 	}
 	// without a cache directory the node is absent
-	out, err = ExplainFilesOpts(
+	out, err = Explain(
 		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel",
-		[]string{"a.cali", "b.cali"}, 0, 1, Options{})
+		[]string{"a.cali", "b.cali"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out, "-> cache") {
 		t.Errorf("EXPLAIN shows a cache node without a cache configured:\n%s", out)
+	}
+}
+
+// TestCacheUnopenableDirExplain: a cache directory that cannot be opened
+// leaves the query uncached, and EXPLAIN must say so by leaving the cache
+// node out rather than naming a store that is not in use.
+func TestCacheUnopenableDirExplain(t *testing.T) {
+	files := shardedFiles(t, 2)
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{CacheDir: filepath.Join(blocker, "cache")}
+	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
+	oracle, err := QueryFilesOpt(q, files, Options{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := QueryFilesOpt(q, files, opts)
+	if err != nil {
+		t.Fatalf("query with an unopenable cache directory: %v", err)
+	}
+	if got.String() != oracle.String() {
+		t.Errorf("output differs from uncached:\n--- uncached ---\n%s--- got ---\n%s", oracle, got)
+	}
+	for _, explain := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+		out, err := Explain(explain+q, files, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out, "-> cache") {
+			t.Errorf("%s shows a cache that is not in use:\n%s", explain, out)
+		}
 	}
 }
 

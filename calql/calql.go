@@ -1,7 +1,8 @@
 // Package calql is the public interface to the aggregation description
 // language and query engine: parse queries in the SQL-like language of
-// Section III-B and run them over .cali datasets — serially or with the
-// emulated-MPI parallel query application of Section IV-C — or over
+// Section III-B and run them over .cali datasets — serially, across
+// in-process workers, or with the emulated-MPI parallel query
+// application of Section IV-C — or over
 // records flushed from a live caliper.Channel (on-line analytical
 // aggregation).
 package calql
@@ -10,12 +11,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
+	"strings"
 
 	"caligo/caliper"
 	"caligo/internal/attr"
 	internalcalql "caligo/internal/calql"
-	"caligo/internal/contexttree"
 	"caligo/internal/mpi"
 	"caligo/internal/obs"
 	"caligo/internal/pquery"
@@ -65,41 +65,45 @@ func (rs *Resultset) Render(w io.Writer) error {
 
 // String renders the resultset as text.
 func (rs *Resultset) String() string {
-	var sb stringsBuilder
+	var sb strings.Builder
 	if err := rs.Render(&sb); err != nil {
 		return fmt.Sprintf("<error: %v>", err)
 	}
 	return sb.String()
 }
 
-// stringsBuilder avoids importing strings just for Builder.
-type stringsBuilder struct{ buf []byte }
-
-func (b *stringsBuilder) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-func (b *stringsBuilder) String() string { return string(b.buf) }
-
-// Options control query execution across the QueryFiles* entry points.
-// The zero value is the default behavior.
+// Options control file query execution. The zero value runs serially
+// with sidecar indexes on and the CALIGO_CACHE cache, if any. Every
+// setting gives byte-identical output; only the emulated-MPI path
+// orders non-aggregating rows by rank.
 type Options struct {
+	// Jobs > 1 runs that many in-process read+aggregate workers (sharded
+	// multi-core execution): files are dealt round-robin, each worker
+	// aggregates its subset into a private database shard, and the shards
+	// fold together pairwise before the shared postprocess tail. Jobs < 0
+	// selects one worker per CPU. The count never exceeds the file count;
+	// 0 and 1 run serially.
+	Jobs int
+	// Ranks > 0 runs the emulated-MPI parallel query application instead:
+	// that many ranks each aggregate a round-robin file subset (as in the
+	// paper's weak-scaling setup), and the partial databases combine in a
+	// logarithmic tree reduction.
+	Ranks int
 	// NoIndex disables sidecar index use: every file is fully decoded,
-	// with no file/block pruning and no projection pushdown. The output is
-	// byte-identical either way; the flag exists for comparison and as an
-	// escape hatch.
+	// with no file/block pruning and no projection pushdown. The flag
+	// exists for comparison and as an escape hatch.
 	NoIndex bool
 	// CacheDir enables the per-file aggregate state cache (internal/
 	// qcache) rooted at the given directory. Empty falls back to the
 	// CALIGO_CACHE environment variable; if that is empty too, caching is
-	// off. The output is byte-identical either way.
+	// off. A directory that cannot be opened leaves caching off.
 	CacheDir string
 	// NoCache force-disables the aggregate cache, overriding CacheDir and
 	// CALIGO_CACHE.
 	NoCache bool
 }
 
-// cacheDir resolves the effective cache directory ("" = caching off).
+// cacheDir resolves the configured cache directory ("" = caching off).
 func (o Options) cacheDir() string {
 	if o.NoCache {
 		return ""
@@ -110,16 +114,44 @@ func (o Options) cacheDir() string {
 	return os.Getenv("CALIGO_CACHE")
 }
 
-func (o Options) scan() query.ScanOptions {
-	so := query.ScanOptions{UseIndex: !o.NoIndex}
+// execution is a file query's mode as resolved from Options against its
+// inputs: the worker count fixed and the cache store opened (or not). A
+// query and the plan EXPLAIN prints for it come from the same execution.
+type execution struct {
+	files    []string
+	jobs     int
+	ranks    int
+	scan     query.ScanOptions
+	cacheDir string // shown in the plan; "" when no store is open
+}
+
+func (o Options) resolve(files []string) *execution {
+	x := &execution{files: files, jobs: o.Jobs, ranks: o.Ranks, scan: query.ScanOptions{UseIndex: !o.NoIndex}}
+	if x.jobs < 0 {
+		x.jobs = query.DefaultJobs()
+	}
+	x.jobs = max(1, min(x.jobs, len(files)))
 	if dir := o.cacheDir(); dir != "" {
 		// an unopenable cache directory silently disables caching: the
 		// query must answer regardless
 		if store, err := qcache.Shared(dir); err == nil {
-			so.Cache = store
+			x.scan.Cache = store
+			x.cacheDir = dir
 		}
 	}
-	return so
+	return x
+}
+
+// plan builds the EXPLAIN plan of q for this execution.
+func (x *execution) plan(q *Query) (*query.Plan, error) {
+	return query.BuildPlan(q, query.PlanOptions{
+		Inputs:   len(x.files),
+		Ranks:    x.ranks,
+		Jobs:     x.jobs,
+		UseIndex: x.scan.UseIndex,
+		Cache:    x.scan.Cache != nil,
+		CacheDir: x.cacheDir,
+	})
 }
 
 // QueryFiles runs a query serially over the given .cali files, merging
@@ -131,109 +163,14 @@ func QueryFiles(queryText string, files []string) (*Resultset, error) {
 	return QueryFilesOpt(queryText, files, Options{})
 }
 
-// QueryFilesOpt is QueryFiles with explicit execution options.
+// QueryFilesOpt runs a query over the given .cali files in the mode opts
+// selects.
 func QueryFilesOpt(queryText string, files []string, opts Options) (*Resultset, error) {
-	aq := obs.BeginQuery(queryText, "serial")
-	rs, err := queryFilesObs(queryText, files, opts, aq)
-	if rs != nil {
-		aq.SetRows(len(rs.Rows))
-	}
-	aq.End(err)
-	return rs, err
-}
-
-// queryFilesObs is the serial execution body, accounting into aq (nil
-// disables attribution).
-func queryFilesObs(queryText string, files []string, opts Options, aq *obs.ActiveQuery) (*Resultset, error) {
-	q, err := Parse(queryText)
+	res, err := opts.resolve(files).run(queryText)
 	if err != nil {
 		return nil, err
 	}
-	reg := attr.NewRegistry()
-	tree := contexttree.New()
-	eng, err := query.New(q, reg)
-	if err != nil {
-		return nil, err
-	}
-	// Records stream straight from the decoder into the engine through one
-	// reused record (no whole-dataset buffering). The read and aggregate
-	// spans still both appear — aggregate nested inside read — so EXPLAIN
-	// ANALYZE sees the same phase structure as the parallel path. The scan
-	// plan emits its own query.index spans alongside.
-	rsp := trace.Begin("query.read")
-	asp := trace.Begin("query.aggregate")
-	if qid := aq.ID(); qid != 0 {
-		rsp.ArgInt("qid", int64(qid))
-		asp.ArgInt("qid", int64(qid))
-	}
-	var readStart time.Time
-	if aq != nil {
-		readStart = time.Now()
-	}
-	plan := query.NewScanPlan(q, opts.scan())
-	nrecs, bytesRead, err := plan.ScanFiles(eng, files, reg, tree)
-	if err != nil {
-		asp.End()
-		rsp.End()
-		return nil, err
-	}
-	asp.ArgInt("records_in", int64(nrecs))
-	asp.ArgInt("records_out", int64(eng.Size()))
-	asp.End()
-	rsp.ArgInt("files", int64(len(files)))
-	rsp.ArgInt("records", int64(nrecs))
-	rsp.ArgInt("bytes", bytesRead)
-	rsp.End()
-	var postStart time.Time
-	if aq != nil {
-		aq.Phase("read+aggregate", time.Since(readStart))
-		aq.AddRecords(uint64(nrecs))
-		aq.AddBytes(uint64(bytesRead))
-		if st := plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
-			aq.CacheStats(uint64(st.CacheHits), uint64(st.CacheMisses), uint64(st.CacheIncremental))
-		}
-		postStart = time.Now()
-	}
-	rows, err := eng.Results()
-	if aq != nil {
-		aq.Phase("postprocess", time.Since(postStart))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Resultset{Rows: rows, Reg: reg, Query: q}, nil
-}
-
-// QueryFilesJobs runs a query over the given .cali files with up to jobs
-// in-process read+aggregate workers (sharded multi-core execution): files
-// are fanned out round-robin, each worker aggregates its subset into a
-// private database shard, and the shards are folded together with a
-// pairwise merge tree before the shared postprocess tail. The output is
-// byte-identical to QueryFiles. jobs <= 0 selects one worker per CPU;
-// jobs == 1 shares the code path but runs a single worker.
-func QueryFilesJobs(queryText string, files []string, jobs int) (*Resultset, error) {
-	return QueryFilesJobsOpt(queryText, files, jobs, Options{})
-}
-
-// QueryFilesJobsOpt is QueryFilesJobs with explicit execution options.
-// With indexing enabled (the default), indexed files additionally shard
-// internally: block ranges of one large file fan out across the workers.
-func QueryFilesJobsOpt(queryText string, files []string, jobs int, opts Options) (*Resultset, error) {
-	aq := obs.BeginQuery(queryText, "sharded")
-	q, err := Parse(queryText)
-	if err != nil {
-		aq.End(err)
-		return nil, err
-	}
-	reg := attr.NewRegistry()
-	rows, err := query.RunShardedFilesOpts(q, reg, files, jobs, aq, opts.scan())
-	if err != nil {
-		aq.End(err)
-		return nil, err
-	}
-	aq.SetRows(len(rows))
-	aq.End(nil)
-	return &Resultset{Rows: rows, Reg: reg, Query: q}, nil
+	return res.Resultset, nil
 }
 
 // ParallelTiming re-exports the parallel query phase breakdown.
@@ -246,50 +183,81 @@ type ParallelResult struct {
 	RecordsProcessed uint64
 }
 
-// QueryFilesParallel runs a query with the emulated-MPI parallel query
-// application: ranks MPI processes are spawned, files are distributed
-// round-robin (one subset per rank, as in the paper's weak-scaling setup),
-// each rank aggregates its subset locally, and the partial aggregation
-// databases are combined in a logarithmic tree reduction.
-func QueryFilesParallel(queryText string, files []string, ranks int) (*ParallelResult, error) {
-	return QueryFilesParallelOpt(queryText, files, ranks, Options{})
-}
-
-// QueryFilesParallelOpt is QueryFilesParallel with explicit execution
-// options. Each rank scans its file subset through the index-aware scan
-// layer, so sidecar indexes prune files and blocks per rank.
+// QueryFilesParallelOpt runs a query with the emulated-MPI parallel query
+// application over ranks ranks (see Options.Ranks); ranks <= 0 selects
+// one rank per file. Each rank scans its file subset through the
+// index-aware scan layer, so sidecar indexes prune files and blocks per
+// rank.
 func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Options) (*ParallelResult, error) {
 	if ranks <= 0 {
-		ranks = len(files)
+		ranks = max(1, len(files))
 	}
-	if ranks <= 0 {
-		return nil, fmt.Errorf("calql: no input files")
+	opts.Ranks = ranks
+	return opts.resolve(files).run(queryText)
+}
+
+// run executes a file query, attributed as one query (obs.BeginQuery).
+// Every file entry point and EXPLAIN ANALYZE come through here.
+func (x *execution) run(queryText string) (*ParallelResult, error) {
+	engine := "serial"
+	switch {
+	case x.ranks > 0:
+		engine = "mpi"
+	case x.jobs > 1:
+		engine = "sharded"
 	}
-	aq := obs.BeginQuery(queryText, "mpi")
-	world, err := mpi.NewWorld(ranks)
+	aq := obs.BeginQuery(queryText, engine)
+	var res *ParallelResult
+	var err error
+	if x.ranks > 0 {
+		res, err = x.runRanks(queryText, aq)
+	} else {
+		res, err = x.runWorkers(queryText, aq)
+	}
+	if err == nil {
+		aq.SetRows(len(res.Rows))
+	}
+	aq.End(err)
+	return res, err
+}
+
+// runWorkers runs the in-process executor: serial, or sharded over
+// x.jobs workers.
+func (x *execution) runWorkers(queryText string, aq *obs.ActiveQuery) (*ParallelResult, error) {
+	q, err := Parse(queryText)
 	if err != nil {
-		aq.End(err)
+		return nil, err
+	}
+	reg := attr.NewRegistry()
+	rows, err := query.RunShardedPlan(query.NewScanPlan(q, x.scan), q, reg, x.files, x.jobs, aq)
+	if err != nil {
+		return nil, err
+	}
+	return &ParallelResult{Resultset: &Resultset{Rows: rows, Reg: reg, Query: q}}, nil
+}
+
+// runRanks runs the emulated-MPI parallel query application.
+func (x *execution) runRanks(queryText string, aq *obs.ActiveQuery) (*ParallelResult, error) {
+	world, err := mpi.NewWorld(x.ranks)
+	if err != nil {
 		return nil, err
 	}
 	filesFor := func(rank int) []string {
 		// round-robin assignment: rank r reads files r, r+ranks, ...
 		var fl []string
-		for i := rank; i < len(files); i += ranks {
-			fl = append(fl, files[i])
+		for i := rank; i < len(x.files); i += x.ranks {
+			fl = append(fl, x.files[i])
 		}
 		return fl
 	}
-	res, err := pquery.RunFilesObs(world, queryText, filesFor, 0, aq, opts.scan())
+	res, err := pquery.Run(world, queryText, pquery.Input{Files: filesFor, Scan: x.scan}, 0, aq)
 	if err != nil {
-		aq.End(err)
 		return nil, err
 	}
 	aq.Phase("local", res.Timing.LocalWall)
 	if reduceWall := res.Timing.TotalWall - res.Timing.LocalWall; reduceWall > 0 {
 		aq.Phase("reduce", reduceWall)
 	}
-	aq.SetRows(len(res.Rows))
-	aq.End(nil)
 	return &ParallelResult{
 		Resultset:        &Resultset{Rows: res.Rows, Reg: res.Reg, Query: res.Query},
 		Timing:           res.Timing,
@@ -297,44 +265,17 @@ func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Opt
 	}, nil
 }
 
-// countingReader counts consumed bytes for the read span's bytes arg.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ExplainFiles executes an EXPLAIN or EXPLAIN ANALYZE statement against
-// the given .cali files and returns the rendered plan. With ranks > 0 the
-// plan describes (and, for ANALYZE, measures) the parallel query
-// application; otherwise the serial path. EXPLAIN resolves the plan
-// without touching the inputs; EXPLAIN ANALYZE runs the wrapped query
-// with span tracing scoped to the run and annotates each plan node with
-// measured wall time, record counts, and byte counts.
-func ExplainFiles(queryText string, files []string, ranks int) (string, error) {
-	return ExplainFilesJobs(queryText, files, ranks, 1)
-}
-
-// ExplainFilesJobs is ExplainFiles with a sharded-execution worker count:
-// with ranks == 0 and jobs != 1 the plan describes (and, for ANALYZE,
-// measures) the sharded multi-core path with that many workers (jobs <= 0
-// resolves to one worker per CPU, capped at the file count, matching
-// QueryFilesJobs). Ranks take precedence: the emulated-MPI path has its
-// own internal parallelism.
-func ExplainFilesJobs(queryText string, files []string, ranks, jobs int) (string, error) {
-	return ExplainFilesOpts(queryText, files, ranks, jobs, Options{})
-}
-
-// ExplainFilesOpts is ExplainFilesJobs with explicit execution options.
-// The plan's index node reports the prunable conditions and decode
-// projection (or that indexing is disabled); under ANALYZE it carries the
-// measured block skip statistics.
-func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts Options) (string, error) {
+// Explain executes an EXPLAIN or EXPLAIN ANALYZE statement against the
+// given .cali files in the mode opts selects and returns the rendered
+// plan. EXPLAIN resolves the plan as a run would (the cache node appears
+// only when the cache store opens) without reading the inputs; EXPLAIN
+// ANALYZE runs the wrapped query through the same execution as
+// QueryFilesOpt, with span tracing scoped to the run, and annotates each
+// plan node with measured wall time, record counts, and byte counts. The
+// index node reports the prunable conditions and decode projection (or
+// that indexing is disabled); under ANALYZE it carries the measured block
+// skip statistics.
+func Explain(queryText string, files []string, opts Options) (string, error) {
 	q, err := Parse(queryText)
 	if err != nil {
 		return "", err
@@ -342,24 +283,8 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 	if q.Explain == ExplainNone {
 		return "", fmt.Errorf("calql: not an EXPLAIN statement: %s", queryText)
 	}
-	if jobs <= 0 {
-		jobs = query.DefaultJobs()
-	}
-	if jobs > len(files) {
-		jobs = len(files)
-	}
-	opts := query.PlanOptions{Inputs: len(files), UseIndex: !eopts.NoIndex}
-	if dir := eopts.cacheDir(); dir != "" {
-		opts.Cache = true
-		opts.CacheDir = dir
-	}
-	if ranks > 0 {
-		opts.Ranks = ranks
-		opts.Fanin = 2
-	} else if jobs > 1 {
-		opts.Jobs = jobs
-	}
-	plan, err := query.BuildPlan(q, opts)
+	x := opts.resolve(files)
+	plan, err := x.plan(q)
 	if err != nil {
 		return "", err
 	}
@@ -368,36 +293,18 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 		// concurrent collection (e.g. a -trace flag) keeps its spans
 		prev := trace.SetEnabled(true)
 		mark := trace.Mark()
-		innerText := q.WithoutExplain().String()
-		var runErr error
-		switch {
-		case ranks > 0:
-			var res *ParallelResult
-			res, runErr = QueryFilesParallelOpt(innerText, files, ranks, eopts)
-			if runErr == nil {
-				runErr = res.Render(io.Discard)
-			}
-		case jobs > 1:
-			var res *Resultset
-			res, runErr = QueryFilesJobsOpt(innerText, files, jobs, eopts)
-			if runErr == nil {
-				runErr = res.Render(io.Discard)
-			}
-		default:
-			var res *Resultset
-			res, runErr = QueryFilesOpt(innerText, files, eopts)
-			if runErr == nil {
-				runErr = res.Render(io.Discard)
-			}
+		res, err := x.run(q.WithoutExplain().String())
+		if err == nil {
+			err = res.Render(io.Discard)
 		}
 		spans := trace.Since(mark)
 		trace.SetEnabled(prev)
-		if runErr != nil {
-			return "", runErr
+		if err != nil {
+			return "", err
 		}
 		plan.Annotate(spans)
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	if err := plan.Write(&sb); err != nil {
 		return "", err
 	}

@@ -17,10 +17,9 @@ import (
 //     run should be several times faster than the full scan.
 //   - groupby: the paper's evaluation query has no prunable WHERE; every
 //     block is decoded, measuring pure index overhead (must stay small).
-//   - bigfile: all sixteen ranks merged into one multi-block file; block
-//     spans let j=4 shard inside the single file. With one CPU the
-//     speedup is scheduling-bound — the case documents correctness and
-//     overhead, the multi-core win needs a multi-core host.
+//   - bigfile: all sixteen ranks merged into one multi-block file. A file
+//     is one scan unit, so j=4 runs one worker, like j=1; the pair shows
+//     that extra workers cost nothing when there is one file.
 func BenchmarkIndexedScan(b *testing.B) {
 	dir := b.TempDir()
 	files, err := paradis.GenerateDirIndexed(dir, 16, paradis.DefaultConfig(), calformat.IndexOptions{})
@@ -66,14 +65,14 @@ func BenchmarkIndexedScan(b *testing.B) {
 	one := []string{merged}
 	b.Run("bigfile-j1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesJobsOpt(paradis.EvaluationQuery, one, 1, Options{}); err != nil {
+			if _, err := QueryFilesOpt(paradis.EvaluationQuery, one, Options{Jobs: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("bigfile-j4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesJobsOpt(paradis.EvaluationQuery, one, 4, Options{}); err != nil {
+			if _, err := QueryFilesOpt(paradis.EvaluationQuery, one, Options{Jobs: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -58,7 +58,7 @@ func TestIndexSmoke(t *testing.T) {
 		}
 
 		for _, jobs := range []int{3, 6} {
-			sharded, err := QueryFilesJobsOpt(q, files, jobs, Options{})
+			sharded, err := QueryFilesOpt(q, files, Options{Jobs: jobs})
 			if err != nil {
 				t.Fatalf("jobs=%d %q: %v", jobs, q, err)
 			}
@@ -92,7 +92,7 @@ func TestIndexSmokeExplain(t *testing.T) {
 	files := indexedFiles(t, 6)
 	const q = "AGGREGATE sum(aggregate.count) WHERE mpi.rank = 2 GROUP BY kernel"
 
-	out, err := ExplainFilesOpts("EXPLAIN "+q, files, 0, 1, Options{})
+	out, err := Explain("EXPLAIN "+q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestIndexSmokeExplain(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesOpts("EXPLAIN ANALYZE "+q, files, 0, 1, Options{})
+	out, err = Explain("EXPLAIN ANALYZE "+q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestIndexSmokeExplain(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesOpts("EXPLAIN "+q, files, 0, 1, Options{NoIndex: true})
+	out, err = Explain("EXPLAIN "+q, files, Options{NoIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func BenchmarkQueryFilesSharded(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := QueryFilesJobs(q, files, jobs); err != nil {
+				if _, err := QueryFilesOpt(q, files, Options{Jobs: jobs}); err != nil {
 					b.Fatal(err)
 				}
 			}

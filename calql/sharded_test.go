@@ -51,7 +51,9 @@ func shardedFiles(t *testing.T, nfiles int) []string {
 // TestQueryFilesJobsMatchesSerial is the golden guarantee of the sharded
 // executor: for every worker count, the rendered output is byte-identical
 // to serial execution — including ORDER BY, LIMIT, post-aggregation
-// operators, and non-aggregating selection queries.
+// operators, and non-aggregating selection queries. With no input files,
+// every mode — the emulated-MPI one included — gives the same empty
+// result.
 func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 	files := shardedFiles(t, 8)
 	queries := []string{
@@ -64,19 +66,33 @@ func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 		"AGGREGATE sum(aggregate.count) WHERE mpi.rank < 5 GROUP BY kernel",
 	}
 	for _, q := range queries {
-		serial, err := QueryFiles(q, files)
-		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
-		}
-		want := serial.String()
-		for _, jobs := range []int{1, 3, 8} {
-			rs, err := QueryFilesJobs(q, files, jobs)
+		for _, in := range [][]string{files, nil} {
+			serial, err := QueryFiles(q, in)
 			if err != nil {
-				t.Fatalf("jobs=%d %q: %v", jobs, q, err)
+				t.Fatalf("serial %q over %d files: %v", q, len(in), err)
 			}
-			if got := rs.String(); got != want {
-				t.Errorf("jobs=%d %q output differs from serial:\n--- serial ---\n%s--- sharded ---\n%s",
-					jobs, q, want, got)
+			want := serial.String()
+			modes := []Options{{Jobs: 1}, {Jobs: 3}, {Jobs: 8}}
+			if len(in) == 0 {
+				modes = append(modes, Options{Ranks: 2})
+				par, err := QueryFilesParallelOpt(q, in, 0, Options{})
+				if err != nil {
+					t.Fatalf("parallel %q over no files: %v", q, err)
+				}
+				if got := par.String(); got != want {
+					t.Errorf("parallel %q over no files differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+						q, want, got)
+				}
+			}
+			for _, opts := range modes {
+				rs, err := QueryFilesOpt(q, in, opts)
+				if err != nil {
+					t.Fatalf("%+v %q over %d files: %v", opts, q, len(in), err)
+				}
+				if got := rs.String(); got != want {
+					t.Errorf("%+v %q over %d files differs from serial:\n--- serial ---\n%s--- %+v ---\n%s",
+						opts, q, len(in), want, opts, got)
+				}
 			}
 		}
 	}
@@ -87,7 +103,7 @@ func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 func TestQueryFilesJobsDefaults(t *testing.T) {
 	files := shardedFiles(t, 2)
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
-	rs, err := QueryFilesJobs(q, files, 0)
+	rs, err := QueryFilesOpt(q, files, Options{Jobs: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +114,7 @@ func TestQueryFilesJobsDefaults(t *testing.T) {
 	if rs.String() != serial.String() {
 		t.Error("default-jobs output differs from serial")
 	}
-	one, err := QueryFilesJobs("AGGREGATE count GROUP BY kernel", files[:1], 8)
+	one, err := QueryFilesOpt("AGGREGATE count GROUP BY kernel", files[:1], Options{Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +134,7 @@ func TestQueryFilesJobsConcurrentMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := QueryFilesJobs(q, files, 16)
+	sharded, err := QueryFilesOpt(q, files, Options{Jobs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +148,8 @@ func TestQueryFilesJobsConcurrentMerge(t *testing.T) {
 // attributes measured spans to them.
 func TestExplainFilesJobs(t *testing.T) {
 	files := shardedFiles(t, 4)
-	out, err := ExplainFilesJobs(
-		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4)
+	out, err := Explain(
+		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +159,8 @@ func TestExplainFilesJobs(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesJobs(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4)
+	out, err = Explain(
+		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +172,8 @@ func TestExplainFilesJobs(t *testing.T) {
 		t.Errorf("EXPLAIN ANALYZE span counts missing (want spans=4 shard, spans=3 merge):\n%s", out)
 	}
 	// jobs == 1 keeps the serial plan shape
-	out, err = ExplainFilesJobs(
-		"EXPLAIN AGGREGATE count GROUP BY kernel", files, 0, 1)
+	out, err = Explain(
+		"EXPLAIN AGGREGATE count GROUP BY kernel", files, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

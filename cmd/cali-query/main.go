@@ -135,10 +135,15 @@ func run(args []string) error {
 }
 
 func runQuery(queryText string, files []string, parallel, jobs int, showTiming bool, opts calql.Options) error {
+	opts.Jobs = jobs
+	if jobs == 0 {
+		opts.Jobs = -1 // one worker per CPU
+	}
 	// EXPLAIN / EXPLAIN ANALYZE statements print the resolved plan instead
 	// of result rows.
 	if q, err := calql.Parse(queryText); err == nil && q.Explain != calql.ExplainNone {
-		out, err := calql.ExplainFilesOpts(queryText, files, parallel, jobs, opts)
+		opts.Ranks = parallel
+		out, err := calql.Explain(queryText, files, opts)
 		if err != nil {
 			return err
 		}
@@ -162,14 +167,6 @@ func runQuery(queryText string, files []string, parallel, jobs int, showTiming b
 				res.Timing.TotalVirt/1e6, res.Timing.TotalWall)
 		}
 		return nil
-	}
-
-	if jobs != 1 {
-		res, err := calql.QueryFilesJobsOpt(queryText, files, jobs, opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(os.Stdout)
 	}
 
 	res, err := calql.QueryFilesOpt(queryText, files, opts)

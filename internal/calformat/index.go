@@ -9,7 +9,7 @@ package calformat
 // distinct-string sets with an overflow marker. Query planning
 // (internal/query/scan.go) uses the zone maps to skip whole files and
 // blocks that cannot satisfy a compiled WHERE condition, and the byte
-// spans to shard one large file across scan workers.
+// spans to seek over pruned blocks.
 //
 // The index lives in a sidecar file next to the data (<file>.cali.idx) so
 // existing .cali files stay valid and writable by tools that know nothing

@@ -44,7 +44,7 @@ func Ablations() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := pquery.RunFanin(world, query, provider, fanin)
+		res, err := pquery.Run(world, query, pquery.Input{Stream: provider}, fanin, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fanin %d: %w", fanin, err)
 		}

@@ -67,7 +67,7 @@ func RunScalingStudy(cfg ScalingConfig) ([]ScalingPoint, error) {
 			}
 			return io.NopCloser(&buf), nil
 		}
-		res, err := pquery.Run(world, cfg.Query, provider)
+		res, err := pquery.Run(world, cfg.Query, pquery.Input{Stream: provider}, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("ranks=%d: %w", p, err)
 		}

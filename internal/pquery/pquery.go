@@ -67,23 +67,54 @@ type Result struct {
 type InputProvider func(rank int) (io.ReadCloser, error)
 
 // FilesProvider supplies the .cali file paths assigned to one rank. An
-// empty slice means the rank has no input. File-based input goes through
-// the index-aware scan layer: sidecar block indexes prune files and
-// blocks the query cannot match and projection pushdown trims decoding.
+// empty slice means the rank has no input.
 type FilesProvider func(rank int) []string
 
-// rankInput selects a rank's input source: exactly one of provider or
-// files is set. plan is shared across ranks (its stats are
-// mutex-protected); each rank still owns a private registry and tree.
-type rankInput struct {
-	provider InputProvider
-	files    FilesProvider
-	opts     query.ScanOptions
-	plan     *query.ScanPlan
+// Input is the query's input, one share per rank: exactly one of Files
+// and Stream is set. File input goes through the index-aware scan layer
+// with the Scan options, so sidecar block indexes prune files and blocks
+// the query cannot match and projection pushdown trims decoding on every
+// rank.
+type Input struct {
+	Files  FilesProvider
+	Stream InputProvider
+	Scan   query.ScanOptions
 }
 
-// reduceFanin is the tree arity; the paper uses a binary ("logarithmic")
-// reduction. RunFanin exposes other arities for the ablation bench.
+// readFunc feeds one rank's input through an engine and returns the
+// records processed and bytes read.
+type readFunc func(eng *query.Engine, reg *attr.Registry) (int, int64, error)
+
+// open returns rank's share of the input as a readFunc, or nil when the
+// rank has none. plan is shared across ranks (its stats are
+// mutex-protected); each rank still owns a private registry.
+func (in Input) open(rank int, plan *query.ScanPlan) (readFunc, error) {
+	if in.Files != nil {
+		files := in.Files(rank)
+		if len(files) == 0 {
+			return nil, nil
+		}
+		return func(eng *query.Engine, reg *attr.Registry) (int, int64, error) {
+			return plan.ScanFiles(eng, files, reg, nil)
+		}, nil
+	}
+	r, err := in.Stream(rank)
+	if err != nil || r == nil {
+		return nil, err
+	}
+	return func(eng *query.Engine, reg *attr.Registry) (int, int64, error) {
+		cr := &countingReader{r: r}
+		n, err := eng.Drain(calformat.NewReader(cr, reg, contexttree.New()))
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		return n, cr.n, err
+	}, nil
+}
+
+// defaultFanin is the tree arity; the paper uses a binary
+// ("logarithmic") reduction. Run takes other arities for the ablation
+// bench.
 const defaultFanin = 2
 
 // Virtual-clock cost model for the query application's compute phases.
@@ -102,34 +133,13 @@ const (
 	perBucketNs = 250
 )
 
-// Run executes the query across the world, assigning each rank the input
-// from provider, and returns the root's result.
-func Run(world *mpi.World, queryText string, provider InputProvider) (*Result, error) {
-	return RunObs(world, queryText, provider, defaultFanin, nil)
-}
-
-// RunFanin is Run with a configurable reduction-tree fan-in.
-func RunFanin(world *mpi.World, queryText string, provider InputProvider, fanin int) (*Result, error) {
-	return RunObs(world, queryText, provider, fanin, nil)
-}
-
-// RunObs is RunFanin with per-query attribution: every rank's record and
+// Run executes the query across the world, assigning each rank its share
+// of in, and returns the root's result. fanin is the reduction-tree
+// arity (<= 0 selects the default binary tree). Every rank's record and
 // byte throughput is accounted into aq (nil disables attribution at zero
 // cost), and the query ID is stamped on the per-rank spans so traces
-// correlate with the slow-query log. fanin <= 0 selects the default
-// binary tree.
-func RunObs(world *mpi.World, queryText string, provider InputProvider, fanin int, aq *obs.ActiveQuery) (*Result, error) {
-	return run(world, queryText, rankInput{provider: provider}, fanin, aq)
-}
-
-// RunFilesObs is RunObs with file-path input: each rank scans its files
-// through the index-aware scan layer (opts controls index use), so
-// indexed files get block pruning and projection pushdown on every rank.
-func RunFilesObs(world *mpi.World, queryText string, files FilesProvider, fanin int, aq *obs.ActiveQuery, opts query.ScanOptions) (*Result, error) {
-	return run(world, queryText, rankInput{files: files, opts: opts}, fanin, aq)
-}
-
-func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.ActiveQuery) (*Result, error) {
+// correlate with the slow-query log.
+func Run(world *mpi.World, queryText string, in Input, fanin int, aq *obs.ActiveQuery) (*Result, error) {
 	if fanin <= 0 {
 		fanin = defaultFanin
 	}
@@ -137,13 +147,14 @@ func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.Ac
 	if err != nil {
 		return nil, err
 	}
-	if in.files != nil {
-		in.plan = query.NewScanPlan(q, in.opts)
+	var plan *query.ScanPlan
+	if in.Files != nil {
+		plan = query.NewScanPlan(q, in.Scan)
 	}
 	var result *Result
 	start := time.Now()
 	err = world.Run(func(c *mpi.Comm) error {
-		res, err := runRank(c, q, in, fanin, aq)
+		res, err := runRank(c, q, in, plan, fanin, aq)
 		if err != nil {
 			return err
 		}
@@ -158,8 +169,8 @@ func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.Ac
 	if result == nil {
 		return nil, fmt.Errorf("pquery: no result produced at root")
 	}
-	if in.plan != nil {
-		if st := in.plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
+	if plan != nil {
+		if st := plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
 			aq.CacheStats(uint64(st.CacheHits), uint64(st.CacheMisses), uint64(st.CacheIncremental))
 		}
 	}
@@ -168,108 +179,52 @@ func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.Ac
 }
 
 // runRank is the per-rank program: local aggregation, then tree reduce.
-func runRank(c *mpi.Comm, q *calql.Query, input rankInput, fanin int, aq *obs.ActiveQuery) (*Result, error) {
-	// Each rank has its own registry and context tree — per-process
-	// address spaces, as in the real tool.
+func runRank(c *mpi.Comm, q *calql.Query, in Input, plan *query.ScanPlan, fanin int, aq *obs.ActiveQuery) (*Result, error) {
+	// Each rank has its own registry and engine — per-process address
+	// spaces, as in the real tool.
 	reg := attr.NewRegistry()
-	tree := contexttree.New()
 	eng, err := query.New(q, reg)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 1: stream process-local input through the engine with one
-	// reused record (no whole-dataset buffering). Both phase spans still
-	// appear — aggregate nested inside read — so EXPLAIN ANALYZE keeps the
-	// same per-rank phase structure.
 	localStart := time.Now()
-	var processed uint64
-	qid := aq.ID()
-	if input.files != nil {
-		if fl := input.files(c.Rank()); len(fl) > 0 {
-			rsp := trace.BeginRank("pquery.read", c.Rank())
-			asp := trace.BeginRank("pquery.aggregate", c.Rank())
-			if qid != 0 {
-				rsp.ArgInt("qid", int64(qid))
-				asp.ArgInt("qid", int64(qid))
-			}
-			n, nb, err := input.plan.ScanFiles(eng, fl, reg, tree)
-			if err != nil {
-				asp.End()
-				rsp.End()
-				return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
-			}
-			processed = uint64(n)
-			asp.ArgInt("records_in", int64(n))
-			asp.ArgInt("records_out", int64(eng.Size()))
-			asp.End()
-			rsp.ArgInt("records", int64(n))
-			rsp.ArgInt("bytes", nb)
-			rsp.End()
-			aq.AddRecords(processed)
-			aq.AddBytes(uint64(nb))
-		} else {
-			// No local input: still emit the aggregate phase so every rank
-			// reports the same span set.
-			asp := trace.BeginRank("pquery.aggregate", c.Rank())
-			asp.ArgInt("records_in", 0)
-			asp.ArgInt("records_out", int64(eng.Size()))
-			asp.End()
-		}
-		return finishRank(c, q, eng, reg, fanin, localStart, processed, qid)
-	}
-	in, err := input.provider(c.Rank())
+	read, err := in.open(c.Rank(), plan)
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: open input: %w", c.Rank(), err)
 	}
-	if in != nil {
-		rsp := trace.BeginRank("pquery.read", c.Rank())
-		asp := trace.BeginRank("pquery.aggregate", c.Rank())
-		if qid != 0 {
-			rsp.ArgInt("qid", int64(qid))
-			asp.ArgInt("qid", int64(qid))
-		}
-		cr := &countingReader{r: in}
-		rd := calformat.NewReader(cr, reg, tree)
-		var rec snapshot.FlatRecord // reused across NextInto calls
-		for {
-			err := rd.NextInto(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				asp.End()
-				rsp.End()
-				in.Close()
-				return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
-			}
-			if err := eng.Process(rec); err != nil {
-				asp.End()
-				rsp.End()
-				in.Close()
-				return nil, err
-			}
-			processed++
-		}
-		asp.ArgInt("records_in", int64(processed))
-		asp.ArgInt("records_out", int64(eng.Size()))
-		asp.End()
-		rsp.ArgInt("records", int64(processed))
-		rsp.ArgInt("bytes", cr.n)
-		rsp.End()
-		aq.AddRecords(processed)
-		aq.AddBytes(uint64(cr.n))
-		if err := in.Close(); err != nil {
-			return nil, err
-		}
-	} else {
-		// No local input: still emit the aggregate phase so every rank
-		// reports the same span set.
-		asp := trace.BeginRank("pquery.aggregate", c.Rank())
-		asp.ArgInt("records_in", 0)
-		asp.ArgInt("records_out", int64(eng.Size()))
-		asp.End()
+
+	// Phase 1: stream process-local input through the engine. Both phase
+	// spans appear — aggregate nested inside read — so EXPLAIN ANALYZE
+	// sees the same per-rank phase structure on every path; a rank with
+	// no input still emits the aggregate phase, so every rank reports it.
+	var rsp trace.Span
+	if read != nil {
+		rsp = trace.BeginRank("pquery.read", c.Rank())
 	}
+	asp := trace.BeginRank("pquery.aggregate", c.Rank())
+	qid := aq.ID()
+	if qid != 0 {
+		rsp.ArgInt("qid", int64(qid))
+		asp.ArgInt("qid", int64(qid))
+	}
+	var processed uint64
+	if read != nil {
+		n, nb, err := read(eng, reg)
+		if err != nil {
+			asp.End()
+			rsp.End()
+			return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
+		}
+		processed = uint64(n)
+		rsp.ArgInt("records", int64(n))
+		rsp.ArgInt("bytes", nb)
+		aq.AddRecords(processed)
+		aq.AddBytes(uint64(nb))
+	}
+	asp.ArgInt("records_in", int64(processed))
+	asp.ArgInt("records_out", int64(eng.Size()))
+	asp.End()
+	rsp.End()
 	return finishRank(c, q, eng, reg, fanin, localStart, processed, qid)
 }
 

@@ -70,7 +70,7 @@ func TestParallelEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(world, queryText, memProvider(records))
+	res, err := Run(world, queryText, Input{Stream: memProvider(records)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestParallelQueryWithWhereAndOrder(t *testing.T) {
 	world, _ := mpi.NewWorld(4)
 	res, err := Run(world,
 		"AGGREGATE sum(time.duration) WHERE not(mpi.function) GROUP BY kernel ORDER BY sum#time.duration DESC LIMIT 2",
-		memProvider(60))
+		Input{Stream: memProvider(60)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestParallelQueryWithWhereAndOrder(t *testing.T) {
 
 func TestParallelNonAggregatingGather(t *testing.T) {
 	world, _ := mpi.NewWorld(4)
-	res, err := Run(world, "SELECT * WHERE kernel=calc-dt", memProvider(30))
+	res, err := Run(world, "SELECT * WHERE kernel=calc-dt", Input{Stream: memProvider(30)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestParallelNonAggregatingGather(t *testing.T) {
 
 func TestSingleRankWorld(t *testing.T) {
 	world, _ := mpi.NewWorld(1)
-	res, err := Run(world, "AGGREGATE count GROUP BY kernel", memProvider(50))
+	res, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: memProvider(50)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestEmptyInputRank(t *testing.T) {
 		}
 		return io.NopCloser(bytes.NewReader(genDataset(rank, 20))), nil
 	}
-	res, err := Run(world, "AGGREGATE count GROUP BY kernel", provider)
+	res, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: provider}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestProviderError(t *testing.T) {
 		}
 		return nil, nil
 	}
-	if _, err := Run(world, "AGGREGATE count GROUP BY kernel", provider); err == nil {
+	if _, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: provider}, 0, nil); err == nil {
 		t.Error("provider error should propagate")
 	}
 }
@@ -199,14 +199,14 @@ func TestCorruptInput(t *testing.T) {
 	provider := func(rank int) (io.ReadCloser, error) {
 		return io.NopCloser(bytes.NewReader([]byte("__rec=ctx,ref=99\n"))), nil
 	}
-	if _, err := Run(world, "AGGREGATE count GROUP BY kernel", provider); err == nil {
+	if _, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: provider}, 0, nil); err == nil {
 		t.Error("corrupt input should propagate an error")
 	}
 }
 
 func TestBadQuery(t *testing.T) {
 	world, _ := mpi.NewWorld(2)
-	if _, err := Run(world, "GROUP BY x", memProvider(1)); err == nil {
+	if _, err := Run(world, "GROUP BY x", Input{Stream: memProvider(1)}, 0, nil); err == nil {
 		t.Error("invalid query should fail")
 	}
 }
@@ -216,7 +216,7 @@ func TestFaninVariantsAgree(t *testing.T) {
 	var ref []snapshot.FlatRecord
 	for _, fanin := range []int{2, 4, 8} {
 		world, _ := mpi.NewWorld(9)
-		res, err := RunFanin(world, queryText, memProvider(40), fanin)
+		res, err := Run(world, queryText, Input{Stream: memProvider(40)}, fanin, nil)
 		if err != nil {
 			t.Fatalf("fanin %d: %v", fanin, err)
 		}
@@ -237,7 +237,7 @@ func TestFaninVariantsAgree(t *testing.T) {
 
 func TestTimingPopulated(t *testing.T) {
 	world, _ := mpi.NewWorld(8)
-	res, err := Run(world, "AGGREGATE count GROUP BY kernel", memProvider(50))
+	res, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: memProvider(50)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestReduceVirtGrowsWithRanks(t *testing.T) {
 		best := 0.0
 		for rep := 0; rep < 3; rep++ {
 			world, _ := mpi.NewWorld(p)
-			res, err := Run(world, "AGGREGATE count GROUP BY kernel", memProvider(20))
+			res, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: memProvider(20)}, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +285,7 @@ func TestParallelPostOps(t *testing.T) {
 	res, err := Run(world,
 		"AGGREGATE sum(time.duration), percent_total(time.duration) GROUP BY kernel "+
 			"WHERE kernel ORDER BY percent_total#time.duration DESC",
-		memProvider(50))
+		Input{Stream: memProvider(50)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestParallelInclusiveSum(t *testing.T) {
 	// inclusive expansion happens once, at the root flush
 	world, _ := mpi.NewWorld(4)
 	res, err := Run(world,
-		"AGGREGATE inclusive_sum(time.duration) GROUP BY kernel", memProvider(40))
+		"AGGREGATE inclusive_sum(time.duration) GROUP BY kernel", Input{Stream: memProvider(40)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestTelemetryEpochPublishesClusterView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(world, "AGGREGATE count GROUP BY kernel", memProvider(records))
+	res, err := Run(world, "AGGREGATE count GROUP BY kernel", Input{Stream: memProvider(records)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func runRows(t *testing.T, queryText string, ranks, records int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(world, queryText, memProvider(records))
+	res, err := Run(world, queryText, Input{Stream: memProvider(records)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,14 +26,12 @@ package query
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"caligo/internal/attr"
 	"caligo/internal/calformat"
 	"caligo/internal/contexttree"
 	"caligo/internal/qcache"
-	"caligo/internal/snapshot"
 	"caligo/internal/trace"
 )
 
@@ -204,20 +202,9 @@ func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}
 	metaBefore := rd.MetaLines()
-	records := 0
-	var rec snapshot.FlatRecord
-	for {
-		err := rd.NextInto(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return records, rd.Offset() - e.Watermark, fmt.Errorf("%s: %w", u.File, err)
-		}
-		if err := priv.Process(rec); err != nil {
-			return records, rd.Offset() - e.Watermark, err
-		}
-		records++
+	records, err := priv.Drain(rd)
+	if err != nil {
+		return records, rd.Offset() - e.Watermark, fmt.Errorf("%s: %w", u.File, err)
 	}
 	endOff := rd.Offset()
 	tail := endOff - e.Watermark

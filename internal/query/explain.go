@@ -17,7 +17,7 @@ import (
 
 // PlanOptions describes the execution environment a plan is built for.
 type PlanOptions struct {
-	// Inputs is the number of input files (0 when reading a stream).
+	// Inputs is the number of input files.
 	Inputs int
 	// Ranks is the emulated MPI rank count; 0 means serial execution.
 	Ranks int
@@ -129,10 +129,8 @@ func BuildPlan(q *calql.Query, opts PlanOptions) (*Plan, error) {
 			opts.Jobs, opts.Inputs))
 	case opts.Inputs == 1:
 		p.add("read", "1 input file")
-	case opts.Inputs > 1:
-		p.add("read", fmt.Sprintf("%d input files", opts.Inputs))
 	default:
-		p.add("read", "input stream")
+		p.add("read", fmt.Sprintf("%d input files", opts.Inputs))
 	}
 	if len(inner.Lets) > 0 {
 		defs := make([]string, len(inner.Lets))

@@ -3,9 +3,9 @@ package query
 // Index-aware scan planning: the bridge between the sidecar block indexes
 // (internal/calformat/index.go) and query execution. A ScanPlan compiles
 // a query's WHERE clause into zone-map tests and its referenced-attribute
-// set into a decode projection, then plans each input file into scan
-// units — whole files for unindexed inputs, block ranges for indexed ones
-// — skipping files and blocks whose zone maps prove no record can match.
+// set into a decode projection, then plans each input file into one scan
+// unit, skipping files and blocks whose zone maps prove no record can
+// match.
 //
 // Correctness invariants (pinned by FuzzIndexedQueryDiff and the calql
 // byte-identity tests):
@@ -61,9 +61,9 @@ var (
 
 // ScanOptions control the index-aware scan layer.
 type ScanOptions struct {
-	// UseIndex enables sidecar index use: file/block pruning, projection
-	// pushdown, and intra-file sharding. Off, every file is fully decoded
-	// (the pre-index behavior, bit for bit).
+	// UseIndex enables sidecar index use: file/block pruning and
+	// projection pushdown. Off, every file is fully decoded (the pre-index
+	// behavior, bit for bit).
 	UseIndex bool
 	// Cache enables the per-file aggregate state cache (internal/qcache):
 	// a valid cached entry replaces the file scan with a state merge, an
@@ -344,15 +344,13 @@ func (p *ScanPlan) evalFile(idx *calformat.Index) (skipFile bool, skipBlock []bo
 	return skipFile, skipBlock
 }
 
-// Unit is one scan work item: a whole unindexed file, or a block range
-// [Lo, Hi) of an indexed one. Units are ordered by (FileIdx, Lo); scanning
-// them in that order reproduces the serial full-scan record order.
+// Unit is one scan work item: one input file, with its block index and
+// per-block skip flags when indexed. PlanUnits returns units in file
+// order; scanning them in that order reproduces the serial record order.
 type Unit struct {
-	FileIdx int
-	File    string
-	Idx     *calformat.Index // nil: plain full scan
-	Skip    []bool           // per-block skip flags (len == len(Idx.Blocks))
-	Lo, Hi  int              // block range to scan
+	File string
+	Idx  *calformat.Index // nil: plain full scan
+	Skip []bool           // per-block skip flags (len == len(Idx.Blocks))
 
 	// Aggregate-cache routing (see cachescan.go). cacheNone means the
 	// unit scans normally with no store afterwards.
@@ -360,39 +358,26 @@ type Unit struct {
 	cacheEntry *qcache.Entry // hit/incremental: the validated entry
 }
 
-// liveRecords counts the records the unit will actually decode.
-func (u *Unit) liveRecords() int64 {
-	if u.Idx == nil {
-		return -1 // unknown
-	}
-	var n int64
-	for bi := u.Lo; bi < u.Hi; bi++ {
-		if !u.Skip[bi] {
-			n += int64(u.Idx.Blocks[bi].Records)
-		}
-	}
-	return n
-}
-
 // PlanUnits loads each file's index (when enabled and present), drops
-// files the zone maps fully exclude, and splits large indexed files into
-// block-range units when there are fewer units than workers. The result
-// is a deterministic function of (files, jobs, index contents).
-func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
+// files the zone maps fully exclude, and returns one unit per remaining
+// file, in file order. The worker count does not affect planning: a file
+// is never split across workers (a split unit re-scans the metadata of
+// every block before it, which costs more than it parallelizes).
+func (p *ScanPlan) PlanUnits(files []string, _ int) []Unit {
 	sp := trace.Begin("query.index")
 	units := make([]Unit, 0, len(files))
 	var indexed, skipped, fallbacks int64
 	var hits, misses, incr int64
-	for i, f := range files {
+	for _, f := range files {
 		if p.cache != nil {
 			switch mode, e := p.planCache(f); mode {
 			case cacheHitMode:
 				hits++
-				units = append(units, Unit{FileIdx: i, File: f, cacheMode: cacheHitMode, cacheEntry: e})
+				units = append(units, Unit{File: f, cacheMode: cacheHitMode, cacheEntry: e})
 				continue
 			case cacheIncrMode:
 				incr++
-				units = append(units, Unit{FileIdx: i, File: f, cacheMode: cacheIncrMode, cacheEntry: e})
+				units = append(units, Unit{File: f, cacheMode: cacheIncrMode, cacheEntry: e})
 				continue
 			case cacheMissMode:
 				misses++
@@ -401,7 +386,7 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 			}
 		}
 		if !p.opts.UseIndex {
-			units = append(units, Unit{FileIdx: i, File: f, cacheMode: p.missMode()})
+			units = append(units, Unit{File: f, cacheMode: p.missMode()})
 			continue
 		}
 		idx, err := calformat.LoadIndex(f)
@@ -410,7 +395,7 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 				fallbacks++
 				telIdxFallback.Inc()
 			}
-			units = append(units, Unit{FileIdx: i, File: f, cacheMode: p.missMode()})
+			units = append(units, Unit{File: f, cacheMode: p.missMode()})
 			continue
 		}
 		indexed++
@@ -425,12 +410,7 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 			p.mu.Unlock()
 			continue
 		}
-		units = append(units, Unit{FileIdx: i, File: f, Idx: idx, Skip: skipBlock, Hi: len(idx.Blocks), cacheMode: p.missMode()})
-	}
-	// Sub-file units cannot produce storable whole-file state, so the
-	// cache keeps files whole; block pruning within a unit still applies.
-	if jobs > 1 && len(units) > 0 && len(units) < jobs && p.cache == nil {
-		units = splitUnits(units, jobs)
+		units = append(units, Unit{File: f, Idx: idx, Skip: skipBlock, cacheMode: p.missMode()})
 	}
 	p.mu.Lock()
 	p.stats.Files += int64(len(files))
@@ -456,54 +436,6 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 		qcache.TelMisses.Add(uint64(misses))
 		qcache.TelIncremental.Add(uint64(incr))
 	}
-	return units
-}
-
-// splitUnits repeatedly halves the unit with the most live records (at
-// block granularity) until there are jobs units or nothing splittable
-// remains, then restores (FileIdx, Lo) order.
-func splitUnits(units []Unit, jobs int) []Unit {
-	for len(units) < jobs {
-		// pick the splittable unit with the most live records
-		best, bestLive := -1, int64(1) // require at least 2 live records
-		for i := range units {
-			u := &units[i]
-			if u.Idx == nil || u.Hi-u.Lo < 2 {
-				continue
-			}
-			if live := u.liveRecords(); live > bestLive {
-				best, bestLive = i, live
-			}
-		}
-		if best < 0 {
-			break
-		}
-		u := units[best]
-		// find the block boundary closest to half the live records
-		half := bestLive / 2
-		mid, acc := u.Lo+1, int64(0)
-		for bi := u.Lo; bi < u.Hi-1; bi++ {
-			if !u.Skip[bi] {
-				acc += int64(u.Idx.Blocks[bi].Records)
-			}
-			if acc >= half {
-				mid = bi + 1
-				break
-			}
-		}
-		left := Unit{FileIdx: u.FileIdx, File: u.File, Idx: u.Idx, Skip: u.Skip, Lo: u.Lo, Hi: mid}
-		right := Unit{FileIdx: u.FileIdx, File: u.File, Idx: u.Idx, Skip: u.Skip, Lo: mid, Hi: u.Hi}
-		if left.liveRecords() == 0 || right.liveRecords() == 0 {
-			break // a half with no records gains nothing; stop splitting
-		}
-		units = append(units[:best], append([]Unit{left, right}, units[best+1:]...)...)
-	}
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].FileIdx != units[j].FileIdx {
-			return units[i].FileIdx < units[j].FileIdx
-		}
-		return units[i].Lo < units[j].Lo
-	})
 	return units
 }
 
@@ -537,29 +469,18 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 	if p.proj != nil && !p.projCoversAll(u.Idx) {
 		rd.SetProjection(p.proj)
 	}
-
-	records := 0
-	var rec snapshot.FlatRecord
 	if u.Idx == nil {
 		// plain full scan to EOF
-		for {
-			err := rd.NextInto(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return records, rd.Offset(), rd.Offset(), fmt.Errorf("%s: %w", u.File, err)
-			}
-			if err := eng.Process(rec); err != nil {
-				return records, rd.Offset(), rd.Offset(), err
-			}
-			records++
+		n, err := eng.Drain(rd)
+		if err != nil {
+			return n, 0, 0, fmt.Errorf("%s: %w", u.File, err)
 		}
-		return records, rd.Offset(), rd.Offset(), nil
+		return n, rd.Offset(), rd.Offset(), nil
 	}
 
 	sp := trace.Begin("query.index")
 	defer sp.End()
+	records := 0
 	var scanned, pruned, seeked, recsPruned, seekedBytes int64
 	blocks := u.Idx.Blocks
 	const (
@@ -568,7 +489,7 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 		actSeek
 	)
 	actionOf := func(bi int) int {
-		if bi >= u.Lo && !u.Skip[bi] {
+		if !u.Skip[bi] {
 			return actFull
 		}
 		if blocks[bi].MetaLines == 0 {
@@ -576,58 +497,37 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 		}
 		return actMeta
 	}
-	for bi := 0; bi < u.Hi; {
+	for bi := 0; bi < len(blocks); {
 		act := actionOf(bi)
 		// coalesce a run of same-action blocks into one operation
 		end := bi + 1
-		for end < u.Hi && actionOf(end) == act {
+		for end < len(blocks) && actionOf(end) == act {
 			end++
 		}
 		runEnd := blocks[end-1].Offset + blocks[end-1].Length
-		// account only the target range [Lo, Hi); the prefix is overhead
-		// already attributed to the unit that owns those blocks
-		for i := bi; i < end; i++ {
-			if i < u.Lo {
-				continue
-			}
-			b := &blocks[i]
-			switch act {
-			case actFull:
-				scanned++
-			case actMeta:
-				pruned++
-				recsPruned += int64(b.Records)
-			case actSeek:
-				pruned++
-				seeked++
-				recsPruned += int64(b.Records)
+		if act == actFull {
+			scanned += int64(end - bi)
+		} else {
+			pruned += int64(end - bi)
+			for i := bi; i < end; i++ {
+				recsPruned += int64(blocks[i].Records)
 			}
 		}
 		switch act {
 		case actSeek:
+			seeked += int64(end - bi)
 			seekedBytes += runEnd - rd.Offset()
-			if err := rd.SkipTo(runEnd); err != nil {
-				return records, 0, 0, fmt.Errorf("%s: %w", u.File, err)
-			}
+			err = rd.SkipTo(runEnd)
 		case actMeta:
-			if err := rd.ScanMetaUntil(runEnd); err != nil {
-				return records, 0, 0, fmt.Errorf("%s: %w", u.File, err)
-			}
+			err = rd.ScanMetaUntil(runEnd)
 		case actFull:
 			rd.SetLimit(runEnd)
-			for {
-				err := rd.NextInto(&rec)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return records, 0, 0, fmt.Errorf("%s: %w", u.File, err)
-				}
-				if err := eng.Process(rec); err != nil {
-					return records, 0, 0, err
-				}
-				records++
-			}
+			var n int
+			n, err = eng.Drain(rd)
+			records += n
+		}
+		if err != nil {
+			return records, 0, 0, fmt.Errorf("%s: %w", u.File, err)
 		}
 		bi = end
 	}
@@ -649,18 +549,30 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 	return records, rd.Offset() - seekedBytes, rd.Offset(), nil
 }
 
-// ScanFiles is the serial scan loop: plan the files as one worker's units
-// and feed them through the engine in order.
-func (p *ScanPlan) ScanFiles(eng *Engine, files []string, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
-	records := 0
-	var bytes int64
-	for _, u := range p.PlanUnits(files, 1) {
-		n, nb, err := p.ScanUnit(eng, u, reg, tree)
-		records += n
-		bytes += nb
+// Drain feeds every record rd yields, up to its limit, through the engine
+// with one reused record (no whole-dataset buffering) and returns how many
+// it processed.
+func (e *Engine) Drain(rd *calformat.Reader) (int, error) {
+	var rec snapshot.FlatRecord
+	for n := 0; ; n++ {
+		err := rd.NextInto(&rec)
+		if err == io.EOF {
+			return n, nil
+		}
 		if err != nil {
-			return records, bytes, err
+			return n, err
+		}
+		if err := e.Process(rec); err != nil {
+			return n, err
 		}
 	}
-	return records, bytes, nil
+}
+
+// ScanFiles feeds the files through eng as the executor's lone worker
+// does (see RunShardedPlan): one unit per file, in file order, each read
+// through a fresh context tree, so the tree argument is not used.
+// Returns the records decoded and bytes read.
+func (p *ScanPlan) ScanFiles(eng *Engine, files []string, reg *attr.Registry, _ *contexttree.Tree) (int, int64, error) {
+	_, records, bytes, err := p.scanUnits(eng, reg, p.PlanUnits(files, 1), 0, 1, nil)
+	return records, bytes, err
 }

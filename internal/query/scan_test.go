@@ -245,26 +245,30 @@ func TestScanMissingIndexIsNotAFallback(t *testing.T) {
 	}
 }
 
-func TestPlanUnitsSplitsLargeFile(t *testing.T) {
-	files := rankedDataset(t, 1, 64, 8) // 8 blocks
-	q := calql.MustParse("AGGREGATE count GROUP BY kernel")
-	plan := NewScanPlan(q, ScanOptions{UseIndex: true})
-	units := plan.PlanUnits(files, 4)
-	if len(units) != 4 {
-		t.Fatalf("got %d units, want 4: %+v", len(units), units)
+func TestPlanUnitsOneUnitPerFile(t *testing.T) {
+	files := rankedDataset(t, 4, 64, 8) // 8 blocks per file
+	// file 1 unindexed; file 3 (mpi.rank = 3) excluded by its zone maps
+	if err := os.Remove(calformat.IndexPath(files[1])); err != nil {
+		t.Fatal(err)
 	}
-	covered := 0
-	for i, u := range units {
-		if u.File != files[0] || u.Idx == nil {
-			t.Fatalf("unit %d = %+v, want block range of the single file", i, u)
+	q := calql.MustParse("AGGREGATE count WHERE mpi.rank < 3 GROUP BY kernel")
+	for _, jobs := range []int{1, 2, 4, 16} {
+		plan := NewScanPlan(q, ScanOptions{UseIndex: true})
+		units := plan.PlanUnits(files, jobs)
+		if len(units) != 3 {
+			t.Fatalf("jobs=%d: got %d units, want 3: %+v", jobs, len(units), units)
 		}
-		if i > 0 && units[i-1].Hi != u.Lo {
-			t.Errorf("unit %d starts at block %d, prev ended at %d", i, u.Lo, units[i-1].Hi)
+		for i, u := range units {
+			if u.File != files[i] {
+				t.Errorf("jobs=%d: unit %d is %s, want %s", jobs, i, u.File, files[i])
+			}
+			if indexed := i != 1; (u.Idx != nil) != indexed {
+				t.Errorf("jobs=%d: unit %d indexed = %v, want %v", jobs, i, u.Idx != nil, indexed)
+			}
+			if u.Idx != nil && len(u.Skip) != len(u.Idx.Blocks) {
+				t.Errorf("jobs=%d: unit %d has %d skip flags for %d blocks", jobs, i, len(u.Skip), len(u.Idx.Blocks))
+			}
 		}
-		covered += u.Hi - u.Lo
-	}
-	if covered != 8 {
-		t.Errorf("units cover %d blocks, want 8", covered)
 	}
 }
 

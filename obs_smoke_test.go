@@ -55,7 +55,7 @@ func TestEndpointSmoke(t *testing.T) {
 		"aggregate.ops": "count,sum(time.duration)",
 	})
 	const queryText = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel"
-	res, err := calql.QueryFilesJobs(queryText, files, 4)
+	res, err := calql.QueryFilesOpt(queryText, files, calql.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
