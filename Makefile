@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
+.PHONY: build vet test test-race bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check loc clean
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,11 @@ smoke:
 	$(GO) test -run TestEndpointSmoke -count=1 .
 
 check: build vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke
+
+# Non-test Go lines outside the benchmark module: the size ROADMAP aim 2
+# tracks. Not part of check.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

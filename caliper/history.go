@@ -10,7 +10,9 @@ import (
 
 // HistoryOptions configures continuous telemetry-history recording:
 // output directory, window cadence, ring retention, and the host.rank
-// stamp. See the field docs on history.Options.
+// stamp. Ring files are written atomically, and a restart adopts the
+// files already in the directory and resumes numbering after them. See
+// the field docs on history.Options.
 type HistoryOptions = history.Options
 
 // histRec is the process-wide history recorder managed by
@@ -63,11 +65,7 @@ func StopHistory() {
 }
 
 // HistoryActive reports whether history recording is running.
-func HistoryActive() bool {
-	histMu.Lock()
-	defer histMu.Unlock()
-	return histRec != nil
-}
+func HistoryActive() bool { return historyRecorder() != nil }
 
 // historyRecorder returns the active recorder, or nil.
 func historyRecorder() *history.Recorder {

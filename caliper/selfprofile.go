@@ -10,7 +10,9 @@ import (
 
 // SelfProfilingOptions configures continuous self-profiling: output
 // directory, capture cadence, CPU window length, point-in-time profile
-// kinds, and ring retention. See the field docs on prof.Options.
+// kinds, and ring retention. Ring files are written atomically, and a
+// restart adopts the files already in the directory and resumes
+// numbering after them. See the field docs on prof.Options.
 type SelfProfilingOptions = prof.Options
 
 // selfProf is the process-wide continuous profiler managed by
@@ -63,11 +65,7 @@ func StopSelfProfiling() {
 
 // SelfProfilingActive reports whether continuous self-profiling is
 // running.
-func SelfProfilingActive() bool {
-	selfProfMu.Lock()
-	defer selfProfMu.Unlock()
-	return selfProf != nil
-}
+func SelfProfilingActive() bool { return selfProfiler() != nil }
 
 // selfProfiler returns the active profiler, or nil.
 func selfProfiler() *prof.Profiler {

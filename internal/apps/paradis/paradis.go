@@ -108,12 +108,6 @@ func hash64(x uint64) uint64 {
 	return x
 }
 
-// recordWriter is the writer subset the generator needs; calformat.Writer
-// and calformat.IndexingWriter both satisfy it.
-type recordWriter interface {
-	WriteRecord(rec snapshot.Record) error
-}
-
 // dataset holds the registry, context tree, and attribute handles shared
 // by the records of one output stream (one file, or all ranks of a merged
 // file).
@@ -155,7 +149,7 @@ func WriteRank(w io.Writer, rank int, cfg Config) error {
 }
 
 // writeRank emits one rank's records through cw.
-func (d *dataset) writeRank(cw recordWriter, rank int, cfg Config) error {
+func (d *dataset) writeRank(cw *calformat.Writer, rank int, cfg Config) error {
 	kernel, mpifn, rankA, iterA := d.kernel, d.mpifn, d.rankA, d.iterA
 	phase, count, dur := d.phase, d.count, d.dur
 	tree := d.tree
@@ -219,50 +213,24 @@ func generateDir(dir string, ranks int, cfg Config, buildIndex bool, opt calform
 	if ranks <= 0 {
 		return nil, fmt.Errorf("paradis: ranks must be positive")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	paths := make([]string, ranks)
 	for r := 0; r < ranks; r++ {
 		p := filepath.Join(dir, fmt.Sprintf("rank-%04d.cali", r))
-		if err := writeRankFile(p, r, cfg, buildIndex, opt); err != nil {
+		err := writeFile(p, buildIndex, opt, func(d *dataset, cw *calformat.Writer) error {
+			return d.writeRank(cw, r, cfg)
+		})
+		if err != nil {
 			return nil, err
 		}
 		paths[r] = p
 	}
 	return paths, nil
-}
-
-func writeRankFile(path string, rank int, cfg Config, buildIndex bool, opt calformat.IndexOptions) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if !buildIndex {
-		if err := WriteRank(f, rank, cfg); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	d := newDataset()
-	iw := calformat.NewIndexingWriter(f, d.reg, d.tree, opt)
-	if err := d.writeRank(iw, rank, cfg); err != nil {
-		f.Close()
-		return err
-	}
-	idx, err := iw.Finish()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return calformat.WriteIndexFile(path, idx)
 }
 
 // WriteMerged writes all ranks into a single multi-block .cali file at
@@ -277,46 +245,49 @@ func WriteMerged(path string, ranks int, cfg Config, buildIndex bool, opt calfor
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	f, err := os.Create(path)
+	err := writeFile(path, buildIndex, opt, func(d *dataset, cw *calformat.Writer) error {
+		for r := 0; r < ranks; r++ {
+			if err := d.writeRank(cw, r, cfg); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
+	return ranks * cfg.RecordsPerFile(), nil
+}
+
+// writeFile writes one .cali file at path through write, over a fresh
+// dataset. When buildIndex is set it then indexes the finished file by
+// decoding it, as cali-index does, and writes the sidecar.
+func writeFile(path string, buildIndex bool, opt calformat.IndexOptions, write func(*dataset, *calformat.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
 	d := newDataset()
-	var cw recordWriter
-	var iw *calformat.IndexingWriter
-	var pw *calformat.Writer
-	if buildIndex {
-		iw = calformat.NewIndexingWriter(f, d.reg, d.tree, opt)
-		cw = iw
-	} else {
-		pw = calformat.NewWriter(f, d.reg, d.tree)
-		cw = pw
+	cw := calformat.NewWriter(f, d.reg, d.tree)
+	err = write(d, cw)
+	if err == nil {
+		err = cw.Flush()
 	}
-	for r := 0; r < ranks; r++ {
-		if err := d.writeRank(cw, r, cfg); err != nil {
-			f.Close()
-			return 0, err
-		}
-	}
-	var idx *calformat.Index
-	if buildIndex {
-		if idx, err = iw.Finish(); err != nil {
-			f.Close()
-			return 0, err
-		}
-	} else if err := pw.Flush(); err != nil {
+	if err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return 0, err
+		return err
 	}
-	if buildIndex {
-		if err := calformat.WriteIndexFile(path, idx); err != nil {
-			return 0, err
-		}
+	if !buildIndex {
+		return nil
 	}
-	return ranks * cfg.RecordsPerFile(), nil
+	idx, err := calformat.BuildFileIndex(path, opt)
+	if err != nil {
+		return err
+	}
+	return calformat.WriteIndexFile(path, idx)
 }
 
 // EvaluationQuery is the query the paper's scalability experiment runs:

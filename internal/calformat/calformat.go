@@ -15,7 +15,7 @@
 //
 // The Writer lives in this file; the byte-oriented zero-allocation Reader
 // lives in decode.go, and the legacy string/map-based decoder it is fuzzed
-// against lives in legacy.go.
+// against lives in legacy_test.go.
 package calformat
 
 import (
@@ -80,11 +80,6 @@ type Writer struct {
 	tree      *contexttree.Tree
 	wroteAttr map[attr.ID]bool
 	wroteNode map[contexttree.NodeID]bool
-
-	// metaLines counts the metadata lines (attr, node, globals) written so
-	// far. The block-aware IndexingWriter reads it to record which blocks
-	// a reader can skip without a metadata scan (see index.go).
-	metaLines int
 }
 
 // NewWriter returns a Writer resolving attributes through reg and node
@@ -108,7 +103,6 @@ func (w *Writer) ensureAttr(a attr.Attribute) error {
 	n, err := fmt.Fprintf(w.w, "__rec=attr,id=%d,name=%s,type=%s,prop=%s\n",
 		a.ID(), escape(a.Name()), a.Type(), escape(a.Properties().String()))
 	telBytesWritten.Add(uint64(n))
-	w.metaLines++
 	return err
 }
 
@@ -140,7 +134,6 @@ func (w *Writer) ensureNode(n contexttree.NodeID) error {
 	written, err := fmt.Fprintf(w.w, "__rec=node,id=%d,attr=%d,data=%s,parent=%s\n",
 		n, aid, escape(val.String()), parentStr)
 	telBytesWritten.Add(uint64(written))
-	w.metaLines++
 	return err
 }
 
@@ -210,7 +203,6 @@ func (w *Writer) WriteGlobals(entries []attr.Entry) error {
 		n, err := fmt.Fprintf(w.w, "__rec=globals,attr=%d,data=%s\n",
 			e.Attr.ID(), escape(e.Value.String()))
 		telBytesWritten.Add(uint64(n))
-		w.metaLines++
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,7 @@ package calformat
 // table so each distinct value is allocated once per stream set. Together
 // with NextInto (caller-owned record reuse) the steady-state decode loop
 // allocates nothing per record. Semantics are pinned to the legacy
-// decoder in legacy.go by FuzzDecodeDiff.
+// decoder in legacy_test.go by FuzzDecodeDiff.
 
 import (
 	"bufio"
@@ -54,7 +54,7 @@ func bstr(b []byte) string {
 }
 
 // unescapeAppend appends the unescaped form of src to dst. Semantics
-// match unescape in legacy.go: \n and \r decode to newline and carriage
+// match unescape in legacy_test.go: \n and \r decode to newline and carriage
 // return, any other escaped byte decodes to itself, and a trailing lone
 // backslash is kept literal.
 func unescapeAppend(dst, src []byte) []byte {
@@ -354,7 +354,7 @@ func (r *Reader) pathOf(n contexttree.NodeID) (cachedPath, error) {
 // scanFields splits line into key=value spans in r.fields. Escape
 // sequences are left in place (spans index the raw bytes); empty segments
 // are skipped; a non-empty segment with no '=' is an error, exactly like
-// splitFields in legacy.go.
+// splitFields in legacy_test.go.
 func (r *Reader) scanFields(line []byte) error {
 	r.fields = r.fields[:0]
 	f := fieldSpan{}
@@ -416,7 +416,7 @@ func (r *Reader) findField(line []byte, name string) (val []byte, esc, ok bool) 
 
 // splitListSpans appends the spans of raw's ':'-separated elements to
 // dst. Offsets are relative to raw. Semantics match splitList in
-// legacy.go: empty input has no elements, a trailing separator yields a
+// legacy_test.go: empty input has no elements, a trailing separator yields a
 // trailing empty element, and escaped separators stay within an element.
 func splitListSpans(dst []listElem, raw []byte) []listElem {
 	if len(raw) == 0 {

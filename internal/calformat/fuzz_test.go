@@ -143,7 +143,7 @@ func FuzzNestedPathRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeDiff: the byte-oriented decoder must be observationally
-// identical to the legacy string/map decoder (legacy.go) on arbitrary
+// identical to the legacy string/map decoder (legacy_test.go) on arbitrary
 // input — same records, same globals, same error at the same point.
 func FuzzDecodeDiff(f *testing.F) {
 	seeds := []string{

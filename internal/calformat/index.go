@@ -182,7 +182,7 @@ func (b *Block) Zone(attrIdx int) *ZoneMap {
 }
 
 // ---------------------------------------------------------------------------
-// Zone accumulation (shared by the standalone indexer and IndexingWriter)
+// Zone accumulation
 
 type zoneAcc struct {
 	count    uint64
@@ -411,172 +411,6 @@ func BuildFileIndex(path string, opt IndexOptions) (*Index, error) {
 	idx.QuickHash, idx.FullHash = quick, full
 	telIndexBuilt.Inc()
 	return idx, nil
-}
-
-// ---------------------------------------------------------------------------
-// Block-aware writer mode
-
-// IndexingWriter is a Writer that builds the block index as it writes.
-// Wrap the destination with NewIndexingWriter, write records as usual,
-// then call Finish to flush and obtain the Index.
-type IndexingWriter struct {
-	*Writer
-	hw      *hashingWriter
-	acc     *indexAcc
-	globals int
-
-	// expanded-path cache, mirroring the reader side: zone accumulation
-	// needs each record's full entry expansion
-	pathCache map[contexttree.NodeID][]attr.Entry
-}
-
-// NewIndexingWriter returns a block-aware writer targeting w.
-func NewIndexingWriter(w io.Writer, reg *attr.Registry, tree *contexttree.Tree, opt IndexOptions) *IndexingWriter {
-	hw := newHashingWriter(w)
-	return &IndexingWriter{
-		Writer:    NewWriter(hw, reg, tree),
-		hw:        hw,
-		acc:       newIndexAcc(opt),
-		pathCache: map[contexttree.NodeID][]attr.Entry{},
-	}
-}
-
-// offset is the stream position the next byte will be written at.
-func (iw *IndexingWriter) offset() int64 {
-	return iw.hw.n + int64(iw.Writer.w.Buffered())
-}
-
-func (iw *IndexingWriter) pathOf(n contexttree.NodeID) ([]attr.Entry, error) {
-	if p, ok := iw.pathCache[n]; ok {
-		return p, nil
-	}
-	p, err := iw.Writer.tree.Path(n, iw.Writer.reg)
-	if err != nil {
-		return nil, err
-	}
-	iw.pathCache[n] = p
-	return p, nil
-}
-
-// WriteRecord writes one record and accounts it in the index.
-func (iw *IndexingWriter) WriteRecord(rec snapshot.Record) error {
-	if rec.Empty() {
-		return nil
-	}
-	if err := iw.Writer.WriteRecord(rec); err != nil {
-		return err
-	}
-	// observe the record exactly as a reader would expand it
-	n := 0
-	for _, node := range rec.Nodes {
-		path, err := iw.pathOf(node)
-		if err != nil {
-			return err
-		}
-		for _, e := range path {
-			iw.acc.observe(e)
-		}
-		n += len(path)
-	}
-	for _, e := range rec.Imm {
-		// an immediate entry is decoded with the attribute's declared
-		// type; observe the re-parsed value so zones match a reader's view
-		v := e.Value
-		if v.Kind() != e.Attr.Type() {
-			if pv, err := attr.ParseAs(v.String(), e.Attr.Type()); err == nil {
-				v = pv
-			}
-		}
-		iw.acc.observe(attr.Entry{Attr: e.Attr, Value: v})
-	}
-	n += len(rec.Imm)
-	iw.acc.blockRecords++
-	iw.acc.blockEntries += uint64(n)
-	if iw.acc.blockRecords >= uint64(iw.acc.opt.blockRecords()) {
-		iw.acc.closeBlock(iw.offset(), iw.Writer.metaLines)
-	}
-	return nil
-}
-
-// WriteFlat writes a fully expanded record as immediate entries.
-func (iw *IndexingWriter) WriteFlat(rec snapshot.FlatRecord) error {
-	return iw.WriteRecord(snapshot.Record{Imm: rec})
-}
-
-// WriteGlobals writes per-run metadata entries.
-func (iw *IndexingWriter) WriteGlobals(entries []attr.Entry) error {
-	if err := iw.Writer.WriteGlobals(entries); err != nil {
-		return err
-	}
-	iw.globals += len(entries)
-	return nil
-}
-
-// Finish flushes the stream and returns the completed index.
-func (iw *IndexingWriter) Finish() (*Index, error) {
-	if err := iw.Writer.Flush(); err != nil {
-		return nil, err
-	}
-	iw.acc.refreshAttrs()
-	idx := iw.acc.finish(iw.hw.n, iw.Writer.metaLines, len(iw.Writer.wroteNode), iw.globals)
-	idx.QuickHash = iw.hw.quickSum()
-	idx.FullHash = iw.hw.full.Sum64()
-	telIndexBuilt.Inc()
-	return idx, nil
-}
-
-// hashingWriter tees writes into the full-content hash and keeps the
-// head/tail windows needed to compute the quick hash at Finish, matching
-// hashReader's file-based computation byte for byte.
-type hashingWriter struct {
-	w    io.Writer
-	n    int64
-	full hash.Hash64
-	head []byte // first quickHashWindow bytes
-	tail []byte // ring of the last quickHashWindow bytes
-	tpos int
-}
-
-func newHashingWriter(w io.Writer) *hashingWriter {
-	return &hashingWriter{w: w, full: newFNV(), tail: make([]byte, 0, quickHashWindow)}
-}
-
-func (hw *hashingWriter) Write(p []byte) (int, error) {
-	n, err := hw.w.Write(p)
-	b := p[:n]
-	hw.n += int64(n)
-	hw.full.Write(b)
-	if len(hw.head) < quickHashWindow {
-		take := quickHashWindow - len(hw.head)
-		if take > len(b) {
-			take = len(b)
-		}
-		hw.head = append(hw.head, b[:take]...)
-	}
-	for _, c := range b {
-		if len(hw.tail) < quickHashWindow {
-			hw.tail = append(hw.tail, c)
-		} else {
-			hw.tail[hw.tpos] = c
-			hw.tpos = (hw.tpos + 1) % quickHashWindow
-		}
-	}
-	return n, err
-}
-
-// quickSum computes the quick hash from the tracked windows.
-func (hw *hashingWriter) quickSum() uint64 {
-	h := newFNV()
-	var sz [8]byte
-	binary.LittleEndian.PutUint64(sz[:], uint64(hw.n))
-	h.Write(sz[:])
-	h.Write(hw.head)
-	if hw.n > quickHashWindow {
-		// last min(n, window) bytes, in stream order
-		h.Write(hw.tail[hw.tpos:])
-		h.Write(hw.tail[:hw.tpos])
-	}
-	return h.Sum64()
 }
 
 // newFNV keeps the hash choice in one place.

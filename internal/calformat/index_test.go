@@ -14,55 +14,55 @@ import (
 	"caligo/internal/snapshot"
 )
 
-// writeIndexedFixture writes a multi-block .cali file through an
-// IndexingWriter and returns its path together with the writer-built
-// index (already persisted as the sidecar).
-func writeIndexedFixture(t *testing.T, nRecords, blockRecords int) (string, *Index) {
+// writeIndexed writes a .cali file at path through a plain Writer, then
+// indexes the finished file with BuildFileIndex and returns the index.
+func writeIndexed(t *testing.T, path string, reg *attr.Registry, tree *contexttree.Tree, opt IndexOptions, write func(*Writer) error) *Index {
 	t.Helper()
-	fx := newFixture(t)
-	path := filepath.Join(t.TempDir(), "data.cali")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iw := NewIndexingWriter(f, fx.reg, fx.tree, IndexOptions{BlockRecords: blockRecords})
-	if err := iw.WriteGlobals([]attr.Entry{
-		{Attr: fx.fn, Value: attr.StringV("index-test")},
-	}); err != nil {
+	w := NewWriter(f, reg, tree)
+	if err := write(w); err != nil {
 		t.Fatal(err)
 	}
-	paths := [][]string{{"main"}, {"main", "solve"}, {"main", "solve", "mpi"}}
-	for i := 0; i < nRecords; i++ {
-		rec := fx.makeRecord(paths[i%len(paths)], int64(i), float64(i)*1.5)
-		if err := iw.WriteRecord(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx, err := iw.Finish()
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	idx, err := BuildFileIndex(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// writeIndexedFixture writes a multi-block .cali file and returns its path
+// together with its index (already persisted as the sidecar).
+func writeIndexedFixture(t *testing.T, nRecords, blockRecords int) (string, *Index) {
+	t.Helper()
+	fx := newFixture(t)
+	path := filepath.Join(t.TempDir(), "data.cali")
+	idx := writeIndexed(t, path, fx.reg, fx.tree, IndexOptions{BlockRecords: blockRecords}, func(w *Writer) error {
+		if err := w.WriteGlobals([]attr.Entry{
+			{Attr: fx.fn, Value: attr.StringV("index-test")},
+		}); err != nil {
+			return err
+		}
+		paths := [][]string{{"main"}, {"main", "solve"}, {"main", "solve", "mpi"}}
+		for i := 0; i < nRecords; i++ {
+			if err := w.WriteRecord(fx.makeRecord(paths[i%len(paths)], int64(i), float64(i)*1.5)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err := WriteIndexFile(path, idx); err != nil {
 		t.Fatal(err)
 	}
 	return path, idx
-}
-
-// TestIndexWriterMatchesStandaloneIndexer pins the two construction
-// paths to each other: indexing while writing must produce exactly the
-// index that re-indexing the finished file produces.
-func TestIndexWriterMatchesStandaloneIndexer(t *testing.T) {
-	path, wIdx := writeIndexedFixture(t, 1000, 64)
-	rIdx, err := BuildFileIndex(path, IndexOptions{BlockRecords: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wIdx, rIdx) {
-		t.Errorf("writer-built and reader-built indexes differ:\nwriter: %+v\nreader: %+v", wIdx, rIdx)
-	}
 }
 
 func TestIndexEncodeDecodeRoundTrip(t *testing.T) {
@@ -202,21 +202,14 @@ func TestZoneMapNaNWidensBounds(t *testing.T) {
 	tree := contexttree.New()
 	val := reg.MustCreate("val", attr.Float, attr.AsValue)
 	path := filepath.Join(t.TempDir(), "nan.cali")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iw := NewIndexingWriter(f, reg, tree, IndexOptions{BlockRecords: 10})
-	for _, v := range []float64{1, 2, math.NaN(), 3} {
-		if err := iw.WriteFlat(snapshot.FlatRecord{{Attr: val, Value: attr.FloatV(v)}}); err != nil {
-			t.Fatal(err)
+	idx := writeIndexed(t, path, reg, tree, IndexOptions{BlockRecords: 10}, func(w *Writer) error {
+		for _, v := range []float64{1, 2, math.NaN(), 3} {
+			if err := w.WriteFlat(snapshot.FlatRecord{{Attr: val, Value: attr.FloatV(v)}}); err != nil {
+				return err
+			}
 		}
-	}
-	idx, err := iw.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		return nil
+	})
 	z := idx.Blocks[0].Zone(idx.AttrIndex("val"))
 	if z == nil || !z.HasNum {
 		t.Fatalf("no numeric zone: %+v", idx.Blocks[0])
@@ -231,22 +224,15 @@ func TestZoneMapStringOverflow(t *testing.T) {
 	tree := contexttree.New()
 	name := reg.MustCreate("name", attr.String, 0)
 	path := filepath.Join(t.TempDir(), "str.cali")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iw := NewIndexingWriter(f, reg, tree, IndexOptions{BlockRecords: 100, MaxDistinct: 4})
-	for i := 0; i < 20; i++ {
-		v := attr.StringV(string(rune('a' + i%8))) // 8 distinct > 4 max
-		if err := iw.WriteFlat(snapshot.FlatRecord{{Attr: name, Value: v}}); err != nil {
-			t.Fatal(err)
+	idx := writeIndexed(t, path, reg, tree, IndexOptions{BlockRecords: 100, MaxDistinct: 4}, func(w *Writer) error {
+		for i := 0; i < 20; i++ {
+			v := attr.StringV(string(rune('a' + i%8))) // 8 distinct > 4 max
+			if err := w.WriteFlat(snapshot.FlatRecord{{Attr: name, Value: v}}); err != nil {
+				return err
+			}
 		}
-	}
-	idx, err := iw.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		return nil
+	})
 	z := idx.Blocks[0].Zone(idx.AttrIndex("name"))
 	if z == nil {
 		t.Fatal("no zone")

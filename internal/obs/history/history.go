@@ -3,8 +3,8 @@
 // interval and writes each window as ordinary .cali records — counters as
 // window deltas, gauges as samples, histograms as mergeable log-linear
 // bin sets — stamped with time.window.start / time.window.dur / host.rank
-// attributes, into a bounded on-disk retention ring (the internal/prof
-// ring pattern). The full history is then CalQL-queryable:
+// attributes, into a bounded on-disk retention ring (internal/ring, shared
+// with internal/prof). The full history is then CalQL-queryable:
 //
 //	SELECT time.window.start, metric.name, sum(metric.delta)
 //	  GROUP BY time.window.start, metric.name        -- time series
@@ -21,9 +21,6 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +29,7 @@ import (
 	"caligo/internal/calformat"
 	"caligo/internal/contexttree"
 	"caligo/internal/obs"
+	"caligo/internal/ring"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
 )
@@ -162,6 +160,13 @@ func (s *Schema) stamp(rank int, startNS, durNS int64, name string, kind telemet
 // not change and are zero are skipped; touched metrics emit every window
 // so time series have no gaps.
 func (s *Schema) AppendWindow(dst []snapshot.FlatRecord, rank int, startNS, durNS int64, prev, cur []telemetry.Metric) []snapshot.FlatRecord {
+	return s.appendWindow(dst, nil, rank, startNS, durNS, prev, cur)
+}
+
+// appendWindow is AppendWindow that also appends each emitted metric's
+// summary to win.Metrics when win is not nil, so the records and the
+// /debug/history summary come from one diff walk.
+func (s *Schema) appendWindow(dst []snapshot.FlatRecord, win *Window, rank int, startNS, durNS int64, prev, cur []telemetry.Metric) []snapshot.FlatRecord {
 	j := 0
 	for i := range cur {
 		c := &cur[i]
@@ -173,6 +178,7 @@ func (s *Schema) AppendWindow(dst []snapshot.FlatRecord, rank int, startNS, durN
 		if j < len(prev) && prev[j].Name == c.Name && prev[j].Kind == c.Kind {
 			p = &prev[j]
 		}
+		wm := WindowMetric{Name: c.Name, Kind: c.Kind.String()}
 		switch c.Kind {
 		case telemetry.KindCounter:
 			var base uint64
@@ -190,6 +196,7 @@ func (s *Schema) AppendWindow(dst []snapshot.FlatRecord, rank int, startNS, durN
 				attr.Entry{Attr: s.delta, Value: attr.UintV(delta)},
 				attr.Entry{Attr: s.total, Value: attr.UintV(c.Counter)})
 			dst = append(dst, rec)
+			wm.Delta, wm.Total = delta, c.Counter
 		case telemetry.KindGauge:
 			if c.Gauge == 0 && (p == nil || p.Gauge == 0) {
 				continue
@@ -197,6 +204,7 @@ func (s *Schema) AppendWindow(dst []snapshot.FlatRecord, rank int, startNS, durN
 			rec := append(s.stamp(rank, startNS, durNS, c.Name, c.Kind),
 				attr.Entry{Attr: s.value, Value: attr.IntV(c.Gauge)})
 			dst = append(dst, rec)
+			wm.Value = c.Gauge
 		case telemetry.KindHistogram:
 			d := c.Hist
 			if p != nil {
@@ -215,6 +223,12 @@ func (s *Schema) AppendWindow(dst []snapshot.FlatRecord, rank int, startNS, durN
 					attr.Entry{Attr: s.binCount, Value: attr.UintV(n)})
 				dst = append(dst, bin)
 			})
+			wm.Count, wm.Sum = d.Count, d.Sum
+		default:
+			continue
+		}
+		if win != nil {
+			win.Metrics = append(win.Metrics, wm)
 		}
 	}
 	return dst
@@ -242,64 +256,17 @@ type Window struct {
 	Metrics []WindowMetric `json:"metrics"`
 }
 
-// summarize builds the JSON window summary alongside the .cali records.
-func summarize(rank int, startNS, durNS int64, prev, cur []telemetry.Metric) Window {
-	w := Window{Start: startNS, Dur: durNS, Rank: rank}
-	j := 0
-	for i := range cur {
-		c := &cur[i]
-		var p *telemetry.Metric
-		for j < len(prev) && (prev[j].Name < c.Name || (prev[j].Name == c.Name && prev[j].Kind < c.Kind)) {
-			j++
-		}
-		if j < len(prev) && prev[j].Name == c.Name && prev[j].Kind == c.Kind {
-			p = &prev[j]
-		}
-		switch c.Kind {
-		case telemetry.KindCounter:
-			var base uint64
-			if p != nil {
-				base = p.Counter
-			}
-			delta := c.Counter - base
-			if c.Counter < base {
-				delta = c.Counter
-			}
-			if c.Counter == 0 && delta == 0 {
-				continue
-			}
-			w.Metrics = append(w.Metrics, WindowMetric{Name: c.Name, Kind: c.Kind.String(), Delta: delta, Total: c.Counter})
-		case telemetry.KindGauge:
-			if c.Gauge == 0 && (p == nil || p.Gauge == 0) {
-				continue
-			}
-			w.Metrics = append(w.Metrics, WindowMetric{Name: c.Name, Kind: c.Kind.String(), Value: c.Gauge})
-		case telemetry.KindHistogram:
-			d := c.Hist
-			if p != nil {
-				d = c.Hist.Sub(p.Hist)
-			}
-			if d.Count == 0 {
-				continue
-			}
-			w.Metrics = append(w.Metrics, WindowMetric{Name: c.Name, Kind: c.Kind.String(), Count: d.Count, Sum: d.Sum})
-		}
-	}
-	return w
-}
-
 // Options configures a Recorder.
 type Options struct {
 	// Dir receives the .cali window files. Required.
 	Dir string
 	// Interval is the capture cadence (default 10s).
 	Interval time.Duration
-	// MaxFiles bounds the on-disk retention ring: when more window files
-	// exist, the oldest are removed (default 64, minimum 2). The in-memory
-	// window summaries served by /debug/history honor the same bound.
+	// MaxFiles bounds the on-disk retention ring of history-<seq>.cali
+	// files (see internal/ring): when more window files exist, the oldest
+	// are removed (default 64, minimum 2). The in-memory window summaries
+	// served by /debug/history honor the same bound.
 	MaxFiles int
-	// Prefix names the files: <prefix>-<seq>.cali (default "history").
-	Prefix string
 	// Rank stamps every record's host.rank attribute (default 0).
 	Rank int
 	// Registry is the telemetry registry to observe (default
@@ -311,6 +278,9 @@ type Options struct {
 	// (default 4096 records).
 	MaxPending int
 }
+
+// filePrefix names the ring files: history-<seq>.cali.
+const filePrefix = "history"
 
 func (o *Options) fill() error {
 	if o.Dir == "" {
@@ -324,9 +294,6 @@ func (o *Options) fill() error {
 	}
 	if o.MaxFiles < 2 {
 		o.MaxFiles = 2
-	}
-	if o.Prefix == "" {
-		o.Prefix = "history"
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default()
@@ -345,11 +312,10 @@ type Recorder struct {
 	opts   Options
 	log    *slog.Logger
 	schema *Schema
+	ring   *ring.Ring
 
 	mu      sync.Mutex
-	seq     int
-	files   []string // retained ring files, oldest first
-	windows []Window // in-memory summaries, oldest first, same bound
+	windows []Window // in-memory summaries, oldest first, same bound as the ring
 	prev    []telemetry.Metric
 	cur     []telemetry.Metric
 	lastAt  time.Time // wall time of the previous snapshot
@@ -366,20 +332,22 @@ func Start(opts Options) (*Recorder, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
 	schema, err := NewSchema(attr.NewRegistry())
 	if err != nil {
 		return nil, err
 	}
+	rg, err := ring.Open(opts.Dir, filePrefix, opts.MaxFiles)
+	if err != nil {
+		return nil, fmt.Errorf("history: %w", err)
+	}
+	telFiles.Set(int64(len(rg.Files())))
 	r := &Recorder{
 		opts:   opts,
 		log:    obs.Logger("history"),
 		schema: schema,
+		ring:   rg,
 		done:   make(chan struct{}),
 	}
-	r.adoptExisting()
 	r.mu.Lock()
 	r.prev = opts.Registry.ExportInto(r.prev)
 	r.lastAt = time.Now()
@@ -387,20 +355,6 @@ func Start(opts Options) (*Recorder, error) {
 	r.wg.Add(1)
 	go r.loop()
 	return r, nil
-}
-
-// adoptExisting picks up leftover ring files from a previous run so
-// retention keeps working across restarts.
-func (r *Recorder) adoptExisting() {
-	matches, err := filepath.Glob(filepath.Join(r.opts.Dir, r.opts.Prefix+"-*.cali"))
-	if err != nil || len(matches) == 0 {
-		return
-	}
-	sort.Strings(matches)
-	r.mu.Lock()
-	r.files = matches
-	telFiles.Set(int64(len(r.files)))
-	r.mu.Unlock()
 }
 
 // Stop halts the scheduler, waits for an in-flight capture, and captures
@@ -455,8 +409,8 @@ func (r *Recorder) CaptureNow() (string, error) {
 	durNS := start.Sub(r.lastAt).Nanoseconds()
 	r.cur = r.opts.Registry.ExportInto(r.cur)
 
-	recs := r.schema.AppendWindow(nil, r.opts.Rank, startNS, durNS, r.prev, r.cur)
-	win := summarize(r.opts.Rank, startNS, durNS, r.prev, r.cur)
+	win := Window{Start: startNS, Dur: durNS, Rank: r.opts.Rank}
+	recs := r.schema.appendWindow(nil, &win, r.opts.Rank, startNS, durNS, r.prev, r.cur)
 
 	// encode the window as a .cali stream
 	r.buf.Reset()
@@ -480,12 +434,10 @@ func (r *Recorder) CaptureNow() (string, error) {
 		return "", fmt.Errorf("history: encode window: %w", err)
 	}
 
-	name := fmt.Sprintf("%s-%06d.cali", r.opts.Prefix, r.seq)
-	r.seq++
-	path := filepath.Join(r.opts.Dir, name)
-	if err := os.WriteFile(path, r.buf.Bytes(), 0o644); err != nil {
+	path, err := r.ring.Add("", r.buf.Bytes())
+	if err != nil {
 		telErrors.Inc()
-		return "", fmt.Errorf("history: write %s: %w", path, err)
+		return "", fmt.Errorf("history: %w", err)
 	}
 	win.File = path
 
@@ -493,18 +445,7 @@ func (r *Recorder) CaptureNow() (string, error) {
 	r.prev, r.cur = r.cur, r.prev
 	r.lastAt = start
 
-	// retention: files and in-memory summaries share the bound
-	r.files = append(r.files, path)
 	r.windows = append(r.windows, win)
-	if n := len(r.files) - r.opts.MaxFiles; n > 0 {
-		evict := append([]string(nil), r.files[:n]...)
-		r.files = append(r.files[:0], r.files[n:]...)
-		for _, old := range evict {
-			if err := os.Remove(old); err != nil && !os.IsNotExist(err) {
-				r.log.Warn("retention remove failed", "file", old, "err", err)
-			}
-		}
-	}
 	if n := len(r.windows) - r.opts.MaxFiles; n > 0 {
 		r.windows = append(r.windows[:0], r.windows[n:]...)
 	}
@@ -519,7 +460,7 @@ func (r *Recorder) CaptureNow() (string, error) {
 	telWindows.Inc()
 	telRecords.Add(uint64(len(recs)))
 	telBytes.Add(uint64(r.buf.Len()))
-	telFiles.Set(int64(len(r.files)))
+	telFiles.Set(int64(len(r.ring.Files())))
 	telCaptureNS.Observe(time.Since(start).Nanoseconds())
 	return path, nil
 }
@@ -536,11 +477,7 @@ func (r *Recorder) Schema() *Schema { return r.schema }
 func (r *Recorder) Options() Options { return r.opts }
 
 // Files returns the retained ring files, oldest first.
-func (r *Recorder) Files() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.files...)
-}
+func (r *Recorder) Files() []string { return r.ring.Files() }
 
 // Windows returns copies of the retained window summaries, oldest first.
 func (r *Recorder) Windows() []Window {

@@ -232,7 +232,7 @@ func TestHistoryAdoptExisting(t *testing.T) {
 	// ring so retention keeps holding across restarts
 	reg2 := telemetry.NewRegistry()
 	c2 := reg2.Counter("adopt.ticks")
-	rec2 := startRecorder(t, reg2, Options{Dir: dir, MaxFiles: 4, Prefix: "history"})
+	rec2 := startRecorder(t, reg2, Options{Dir: dir, MaxFiles: 4})
 	if got := len(rec2.Files()); got != len(before) {
 		t.Fatalf("adopted files = %d, want %d", got, len(before))
 	}
@@ -245,6 +245,41 @@ func TestHistoryAdoptExisting(t *testing.T) {
 	onDisk, _ := filepath.Glob(filepath.Join(dir, "history-*.cali"))
 	if len(onDisk) > 4 {
 		t.Errorf("retention did not cover adopted files: %d on disk", len(onDisk))
+	}
+}
+
+// TestHistoryRestartFullRing: a recorder restarted over a full ring keeps
+// its newest window, and every file it lists exists.
+func TestHistoryRestartFullRing(t *testing.T) {
+	enableTelemetry(t)
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	c := reg.Counter("restart.ticks")
+	rec := startRecorder(t, reg, Options{Dir: dir, MaxFiles: 3})
+	for i := 0; i < 2; i++ {
+		c.Inc()
+		if _, err := rec.CaptureNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec.Stop() // the tail window fills the ring: history-000000..000002
+
+	rec2 := startRecorder(t, telemetry.NewRegistry(), Options{Dir: dir, MaxFiles: 3})
+	path, err := rec2.CaptureNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("newest window file does not survive: %v", err)
+	}
+	files := rec2.Files()
+	if len(files) != 3 || files[len(files)-1] != path {
+		t.Errorf("Files() = %v, want 3 files ending in %s", files, path)
+	}
+	for _, f := range files {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("listed file missing: %v", err)
+		}
 	}
 }
 

@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"caligo/internal/obs"
+	"caligo/internal/ring"
 	"caligo/internal/telemetry"
 )
 
@@ -122,13 +122,14 @@ type Options struct {
 	// Kinds lists additional point-in-time profiles captured each round
 	// (default: heap and goroutine).
 	Kinds []string
-	// MaxFiles bounds the on-disk ring: when more than MaxFiles converted
+	// MaxFiles bounds the on-disk ring of selfprof-<seq>-<kind>.cali
+	// files (see internal/ring): when more than MaxFiles converted
 	// profiles exist, the oldest are removed (default 16, minimum 2).
 	MaxFiles int
-	// Prefix names the files: <prefix>-<seq>-<kind>.cali (default
-	// "selfprof").
-	Prefix string
 }
+
+// filePrefix names the ring files: selfprof-<seq>-<kind>.cali.
+const filePrefix = "selfprof"
 
 func (o *Options) fill() error {
 	if o.Dir == "" {
@@ -154,9 +155,6 @@ func (o *Options) fill() error {
 	if o.MaxFiles < 2 {
 		o.MaxFiles = 2
 	}
-	if o.Prefix == "" {
-		o.Prefix = "selfprof"
-	}
 	return nil
 }
 
@@ -166,12 +164,11 @@ func (o *Options) fill() error {
 type Profiler struct {
 	opts Options
 	log  *slog.Logger
+	ring *ring.Ring
 
-	mu    sync.Mutex
-	seq   int
-	files []string // retained files, oldest first
-	done  chan struct{}
-	wg    sync.WaitGroup
+	stop sync.Once
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // Start begins continuous capture with the given options. The first
@@ -180,46 +177,26 @@ func Start(opts Options) (*Profiler, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	rg, err := ring.Open(opts.Dir, filePrefix, opts.MaxFiles)
+	if err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
 	}
+	telFiles.Set(int64(len(rg.Files())))
 	p := &Profiler{
 		opts: opts,
 		log:  obs.Logger("prof"),
+		ring: rg,
 		done: make(chan struct{}),
 	}
-	p.adoptExisting()
 	p.wg.Add(1)
 	go p.loop()
 	return p, nil
 }
 
-// adoptExisting picks up leftover ring files from a previous run so
-// retention keeps working across restarts.
-func (p *Profiler) adoptExisting() {
-	matches, err := filepath.Glob(filepath.Join(p.opts.Dir, p.opts.Prefix+"-*.cali"))
-	if err != nil || len(matches) == 0 {
-		return
-	}
-	sort.Strings(matches)
-	p.mu.Lock()
-	p.files = matches
-	telFiles.Set(int64(len(p.files)))
-	p.mu.Unlock()
-}
-
 // Stop halts the scheduler and waits for an in-flight round to finish.
 // Retained files stay on disk.
 func (p *Profiler) Stop() {
-	p.mu.Lock()
-	select {
-	case <-p.done:
-		p.mu.Unlock()
-		return
-	default:
-		close(p.done)
-	}
-	p.mu.Unlock()
+	p.stop.Do(func() { close(p.done) })
 	p.wg.Wait()
 }
 
@@ -266,32 +243,13 @@ func (p *Profiler) capture(kind string, window time.Duration) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p.mu.Lock()
-	seq := p.seq
-	p.seq++
-	p.mu.Unlock()
-	name := fmt.Sprintf("%s-%06d-%s.cali", p.opts.Prefix, seq, kind)
-	path := filepath.Join(p.opts.Dir, name)
-	if err := os.WriteFile(path, cali, 0o644); err != nil {
+	path, err := p.ring.Add(kind, cali)
+	if err != nil {
 		telErrors.Inc()
-		return "", fmt.Errorf("prof: write %s: %w", path, err)
+		return "", fmt.Errorf("prof: %w", err)
 	}
 	telBytes.Add(uint64(len(cali)))
-
-	p.mu.Lock()
-	p.files = append(p.files, path)
-	var evict []string
-	if n := len(p.files) - p.opts.MaxFiles; n > 0 {
-		evict = append(evict, p.files[:n]...)
-		p.files = append(p.files[:0], p.files[n:]...)
-	}
-	telFiles.Set(int64(len(p.files)))
-	p.mu.Unlock()
-	for _, old := range evict {
-		if err := os.Remove(old); err != nil && !os.IsNotExist(err) {
-			p.log.Warn("retention remove failed", "file", old, "err", err)
-		}
-	}
+	telFiles.Set(int64(len(p.ring.Files())))
 	return path, nil
 }
 
@@ -321,42 +279,24 @@ func (p *Profiler) TriggerPoint(kind string) (string, error) {
 // Latest returns the path of the most recent retained file, optionally
 // filtered by kind ("" matches any).
 func (p *Profiler) Latest(kind string) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.files) - 1; i >= 0; i-- {
-		if kind == "" || kindOfFile(p.files[i]) == kind {
-			return p.files[i], true
+	files := p.ring.Files()
+	for i := len(files) - 1; i >= 0; i-- {
+		if kind == "" || kindOfFile(files[i]) == kind {
+			return files[i], true
 		}
 	}
 	return "", false
 }
 
 // Files returns the retained ring files, oldest first.
-func (p *Profiler) Files() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.files...)
-}
+func (p *Profiler) Files() []string { return p.ring.Files() }
 
 // Options returns the profiler's effective (defaulted) options.
 func (p *Profiler) Options() Options { return p.opts }
 
 // kindOfFile recovers the profile kind from a ring file name
-// (<prefix>-<seq>-<kind>.cali).
+// (selfprof-<seq>-<kind>.cali).
 func kindOfFile(path string) string {
-	base := filepath.Base(path)
-	base = base[:len(base)-len(filepath.Ext(base))]
-	if i := lastDash(base); i >= 0 {
-		return base[i+1:]
-	}
-	return ""
-}
-
-func lastDash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '-' {
-			return i
-		}
-	}
-	return -1
+	base := strings.TrimSuffix(filepath.Base(path), ".cali")
+	return base[strings.LastIndexByte(base, '-')+1:]
 }

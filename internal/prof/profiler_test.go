@@ -141,6 +141,43 @@ func TestProfilerAdoptsExistingFiles(t *testing.T) {
 	}
 }
 
+// TestProfilerRestartFullRing: a profiler restarted over a full ring keeps
+// its newest profile, and every file it lists or serves as Latest exists.
+func TestProfilerRestartFullRing(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"selfprof-000000-goroutine.cali", "selfprof-000001-goroutine.cali"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("__rec=attr,id=0,name=x,type=int,prop=\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := Start(Options{Dir: dir, Interval: time.Hour, CPUWindow: -1,
+		Kinds: []string{}, MaxFiles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	path, err := p.TriggerPoint("goroutine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("newest profile does not survive: %v", err)
+	}
+	latest, ok := p.Latest("goroutine")
+	if !ok || latest != path {
+		t.Errorf("Latest(goroutine) = %q, %v; want %q", latest, ok, path)
+	}
+	files := p.Files()
+	if len(files) != 2 {
+		t.Errorf("Files() = %v, want 2 files", files)
+	}
+	for _, f := range append(files, latest) {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("listed file missing: %v", err)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	if _, err := Start(Options{}); err == nil {
 		t.Error("missing Dir: expected error")

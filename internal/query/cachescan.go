@@ -100,25 +100,59 @@ func (p *ScanPlan) planCache(file string) (int, *qcache.Entry) {
 	return cacheIncrMode, e
 }
 
-// scanCacheHit serves a unit entirely from cached state. The blob is
-// validated into a private database first, so a bad entry cannot leave
-// the engine half-merged — it degrades to a stored full scan instead.
-func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+// scanCacheEntry serves a hit or incremental unit from its cached state:
+// the state blob seeds a private engine, an incremental unit then decodes
+// only the file's appended tail into it and re-stores under the new
+// watermark, and the result merges into eng. A hit is the incremental
+// case with an empty tail and never opens the file. The blob is validated
+// into the private database before anything merges into eng, so a bad
+// entry or a replay problem cannot leave the engine half-merged — it
+// degrades to a stored full scan instead.
+func (p *ScanPlan) scanCacheEntry(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+	fallback := func() (int, int64, error) {
+		p.noteCacheFallback()
+		return p.scanCacheMiss(eng, u, reg, tree)
+	}
 	e := u.cacheEntry
 	priv, err := New(p.q, reg)
 	if err == nil && priv.db != nil && eng.db != nil {
 		err = priv.db.MergeEncodedState(e.State)
 	} else if err == nil {
-		err = fmt.Errorf("query: cache hit on non-aggregating engine")
+		err = fmt.Errorf("query: cache entry on non-aggregating engine")
 	}
 	if err != nil {
-		p.noteCacheFallback()
-		u.cacheMode = cacheMissMode
-		u.cacheEntry = nil
-		return p.scanCacheMiss(eng, u, reg, tree)
+		return fallback()
+	}
+	records, tail := 0, int64(0)
+	if u.cacheMode == cacheIncrMode {
+		f, err := os.Open(u.File)
+		if err != nil {
+			return 0, 0, err
+		}
+		defer f.Close()
+		rd := calformat.NewReader(f, reg, tree)
+		if p.proj != nil {
+			rd.SetProjection(p.proj)
+		}
+		if replayMeta(rd, e) != nil {
+			return fallback()
+		}
+		metaBefore := rd.MetaLines()
+		records, err = priv.Drain(rd)
+		if err != nil {
+			return records, rd.Offset() - e.Watermark, fmt.Errorf("%s: %w", u.File, err)
+		}
+		endOff := rd.Offset()
+		tail = endOff - e.Watermark
+		spans := e.MetaSpans
+		if rd.MetaLines() > metaBefore {
+			// the tail holds new definitions: future tails must replay it too
+			spans = append(append([]qcache.Span{}, spans...), qcache.Span{Off: e.Watermark, Len: tail})
+		}
+		p.putEntry(u.File, priv, endOff, e.Records+uint64(records), spans)
 	}
 	if err := eng.db.Merge(priv.db); err != nil {
-		return 0, 0, err
+		return records, tail, err
 	}
 	p.mu.Lock()
 	p.stats.CacheBytesSkipped += e.Watermark
@@ -127,7 +161,26 @@ func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *c
 	sp := trace.Begin("query.cache")
 	sp.ArgInt("bytes_skipped", e.Watermark)
 	sp.End()
-	return int(e.Records), 0, nil
+	return int(e.Records) + records, tail, nil
+}
+
+// replayMeta replays the cached prefix's metadata definitions, seeking
+// over record runs, and leaves rd at the entry's watermark.
+func replayMeta(rd *calformat.Reader, e *qcache.Entry) error {
+	for _, s := range e.MetaSpans {
+		if s.Off > rd.Offset() {
+			if err := rd.SkipTo(s.Off); err != nil {
+				return err
+			}
+		}
+		if err := rd.ScanMetaUntil(s.Off + s.Len); err != nil {
+			return err
+		}
+	}
+	if e.Watermark > rd.Offset() {
+		return rd.SkipTo(e.Watermark)
+	}
+	return nil
 }
 
 // scanCacheMiss scans the unit in full through a private engine, stores
@@ -150,81 +203,6 @@ func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *
 		return n, bytes, err
 	}
 	return n, bytes, nil
-}
-
-// scanCacheIncr seeds a private engine with the cached state, decodes
-// only the file's appended tail, merges, and re-stores under the new
-// watermark. Any replay problem degrades to a stored full scan.
-func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
-	e := u.cacheEntry
-	priv, err := New(p.q, reg)
-	if err == nil && priv.db != nil && eng.db != nil {
-		err = priv.db.MergeEncodedState(e.State)
-	} else if err == nil {
-		err = fmt.Errorf("query: cache entry on non-aggregating engine")
-	}
-	if err != nil {
-		p.noteCacheFallback()
-		u.cacheMode = cacheMissMode
-		u.cacheEntry = nil
-		return p.scanCacheMiss(eng, u, reg, tree)
-	}
-	f, err := os.Open(u.File)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	rd := calformat.NewReader(f, reg, tree)
-	if p.proj != nil {
-		rd.SetProjection(p.proj)
-	}
-	// replay the prefix's metadata definitions, seeking over record runs
-	replayErr := func() error {
-		for _, s := range e.MetaSpans {
-			if s.Off > rd.Offset() {
-				if err := rd.SkipTo(s.Off); err != nil {
-					return err
-				}
-			}
-			if err := rd.ScanMetaUntil(s.Off + s.Len); err != nil {
-				return err
-			}
-		}
-		if e.Watermark > rd.Offset() {
-			return rd.SkipTo(e.Watermark)
-		}
-		return nil
-	}()
-	if replayErr != nil {
-		p.noteCacheFallback()
-		u.cacheMode = cacheMissMode
-		u.cacheEntry = nil
-		return p.scanCacheMiss(eng, u, reg, tree)
-	}
-	metaBefore := rd.MetaLines()
-	records, err := priv.Drain(rd)
-	if err != nil {
-		return records, rd.Offset() - e.Watermark, fmt.Errorf("%s: %w", u.File, err)
-	}
-	endOff := rd.Offset()
-	tail := endOff - e.Watermark
-	spans := e.MetaSpans
-	if rd.MetaLines() > metaBefore {
-		// the tail holds new definitions: future tails must replay it too
-		spans = append(append([]qcache.Span{}, spans...), qcache.Span{Off: e.Watermark, Len: tail})
-	}
-	p.putEntry(u.File, priv, endOff, e.Records+uint64(records), spans)
-	if err := eng.db.Merge(priv.db); err != nil {
-		return records, tail, err
-	}
-	p.mu.Lock()
-	p.stats.CacheBytesSkipped += e.Watermark
-	p.mu.Unlock()
-	qcache.TelBytesSkipped.Add(uint64(e.Watermark))
-	sp := trace.Begin("query.cache")
-	sp.ArgInt("bytes_skipped", e.Watermark)
-	sp.End()
-	return int(e.Records) + records, tail, nil
 }
 
 // putEntry stores a unit's per-file state, best-effort: a file that

@@ -446,10 +446,8 @@ func (p *ScanPlan) PlanUnits(files []string, _ int) []Unit {
 // decode work. Returns the records decoded and bytes read.
 func (p *ScanPlan) ScanUnit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	switch u.cacheMode {
-	case cacheHitMode:
-		return p.scanCacheHit(eng, u, reg, tree)
-	case cacheIncrMode:
-		return p.scanCacheIncr(eng, u, reg, tree)
+	case cacheHitMode, cacheIncrMode:
+		return p.scanCacheEntry(eng, u, reg, tree)
 	case cacheMissMode:
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}

@@ -23,17 +23,20 @@ func writeIndexedFile(t *testing.T, dir, name string, reg *attr.Registry, recs [
 	if err != nil {
 		t.Fatal(err)
 	}
-	iw := calformat.NewIndexingWriter(f, reg, contexttree.New(), calformat.IndexOptions{BlockRecords: blockRecords})
+	w := calformat.NewWriter(f, reg, contexttree.New())
 	for _, r := range recs {
-		if err := iw.WriteFlat(r); err != nil {
+		if err := w.WriteFlat(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	idx, err := iw.Finish()
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := calformat.BuildFileIndex(path, calformat.IndexOptions{BlockRecords: blockRecords})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := calformat.WriteIndexFile(path, idx); err != nil {
